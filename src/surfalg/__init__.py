@@ -21,7 +21,7 @@ cli         batch verification runner with JSON/text reports
 
 __version__ = "0.1.0"
 
-from . import cli, enveloping, freelie, intlinalg, nilpotent, surface, symplectic, torelli
+from . import enveloping, freelie, intlinalg, nilpotent, surface, symplectic, torelli
 from .errors import ResourceLimitExceeded
 from .intlinalg import (
     DimensionMismatch,
@@ -41,7 +41,6 @@ __all__ = [
     "IntMatrix",
     "ResourceLimitExceeded",
     "SnfResult",
-    "cli",
     "cokernel",
     "enveloping",
     "freelie",

@@ -508,12 +508,13 @@ def _suite_lemma_summand(s: _Session) -> list[CheckResult]:
         good = 0
         trials = 100
         for _ in range(trials):
-            u = IntMatrix.identity(n).to_array()
+            u = [[int(r == c) for c in range(n)] for r in range(n)]
             for _ in range(3 * n):
                 i, j = rng.randrange(n), rng.randrange(n)
                 if i != j:
-                    u[i, :] += rng.randint(-2, 2) * u[j, :]
-            changed = IntMatrix.from_array(u) @ base
+                    k = rng.randint(-2, 2)
+                    u[i] = [x + k * y for x, y in zip(u[i], u[j])]
+            changed = IntMatrix(u) @ base
             if bool(summand_correspondence_roundtrip(changed, g)):
                 good += 1
         return trials, good

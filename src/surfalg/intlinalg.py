@@ -2,18 +2,17 @@
 
 Smith and Hermite normal forms with unimodular transforms, integer kernels,
 row-span saturation, and direct-summand certificates.  Coefficients are
-arbitrary-precision Python ints throughout; numpy object arrays are used as
-containers so that row and column sweeps stay vectorized.  Every matrix value
-is immutable and every operation returns fresh results, so all functions here
-are safe to call concurrently.
+arbitrary-precision Python ints throughout.  A single elimination routine,
+`sparse_echelon`, does every reduction on rows stored as dicts
+{column: coefficient}; the normal forms, kernels and ranks are built on its
+output.  Every matrix value is immutable and every operation returns fresh
+results, so all functions here are safe to call concurrently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
-
-import numpy as np
 
 
 class DimensionMismatch(ValueError):
@@ -74,12 +73,6 @@ class IntMatrix:
         n = len(values)
         return cls([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "IntMatrix":
-        if arr.ndim != 2:
-            raise ValueError("expected a 2-d array")
-        return cls([[int(x) for x in row] for row in arr], cols=arr.shape[1])
-
     @property
     def rows(self) -> int:
         return self._rows
@@ -103,13 +96,6 @@ class IntMatrix:
         i, j = key
         return self._data[i][j]
 
-    def to_array(self) -> np.ndarray:
-        """Fresh numpy object array holding the entries."""
-        arr = np.empty((self._rows, self._cols), dtype=object)
-        for i, r in enumerate(self._data):
-            arr[i, :] = r
-        return arr
-
     def transpose(self) -> "IntMatrix":
         return IntMatrix(
             [[self._data[i][j] for i in range(self._rows)] for j in range(self._cols)],
@@ -117,11 +103,11 @@ class IntMatrix:
         )
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        """Product computed row by row as combinations of other's sparse rows."""
         if self._cols != other._rows:
             raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
-        if self._rows == 0 or other._cols == 0:
-            return IntMatrix.zeros(self._rows, other._cols)
-        return IntMatrix.from_array(self.to_array().dot(other.to_array()))
+        basis = _sparse_rows(other)
+        return _dense([_combination(_sparse(r), basis) for r in self._data], other._cols)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntMatrix) and self._data == other._data and self._cols == other._cols
@@ -178,180 +164,182 @@ class FgAbGroup:
         return " + ".join(parts) if parts else "0"
 
 
-def _swap_rows(mats: list[np.ndarray], i: int, j: int) -> None:
-    for m in mats:
-        m[[i, j], :] = m[[j, i], :]
+# ---------------------------------------------------------------------------
+# Sparse rows: dicts {column: coefficient} holding only nonzero entries.
 
 
-def _swap_cols(mats: list[np.ndarray], i: int, j: int) -> None:
-    for m in mats:
-        m[:, [i, j]] = m[:, [j, i]]
+def _sparse(row: Sequence[int]) -> dict:
+    return {j: x for j, x in enumerate(row) if x}
 
 
-def _min_abs_pivot(m: np.ndarray, t: int) -> tuple[int, int] | None:
-    """Position of a least-|value| nonzero entry of m[t:, t:], or None."""
-    best = None
-    best_val = None
-    sub = m[t:, t:]
-    nz = np.nonzero(sub)
-    for i, j in zip(*nz):
-        v = abs(sub[i, j])
-        if best_val is None or v < best_val:
-            best, best_val = (t + int(i), t + int(j)), v
-            if v == 1:
-                break
-    return best
+def _sparse_rows(a: IntMatrix) -> list[dict]:
+    return [_sparse(r) for r in a.entries]
 
 
-def snf(a: IntMatrix) -> SnfResult:
-    """Smith normal form with unimodular transforms.
+def _dense(rows: Sequence[dict], cols: int) -> IntMatrix:
+    def expand(row):
+        vec = [0] * cols
+        for j, x in row.items():
+            vec[j] = x
+        return vec
 
-    Pivots are chosen with minimal absolute value to bound coefficient growth.
-    Total on any matrix with at least one row and one column.
+    # a generator, so only one expanded row is alive next to the tuples
+    return IntMatrix((expand(row) for row in rows), cols=cols)
+
+
+def _transpose_rows(rows: Sequence[dict], cols: int) -> list[dict]:
+    out: list[dict] = [{} for _ in range(cols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[j][i] = x
+    return out
+
+
+def _combination(coeffs: dict, rows: Sequence[dict]) -> dict:
+    """The sparse row sum of coeffs[k] * rows[k]."""
+    out: dict = {}
+    for k, c in coeffs.items():
+        _axpy(out, rows[k], c)
+    return out
+
+
+def _axpy(target: dict, source: dict, factor: int) -> None:
+    if factor == 0:
+        return
+    for c, val in source.items():
+        new = target.get(c, 0) + factor * val
+        if new:
+            target[c] = new
+        else:
+            target.pop(c, None)
+
+
+def _combine(a: dict, ca: int, b: dict, cb: int) -> dict:
+    out = {}
+    for c, v in a.items():
+        val = ca * v
+        if val:
+            out[c] = val
+    for c, v in b.items():
+        val = out.get(c, 0) + cb * v
+        if val:
+            out[c] = val
+        else:
+            out.pop(c, None)
+    return out
+
+
+def sparse_echelon(
+    rows: Iterable[dict], want_kernel: bool = False
+) -> tuple[dict, list[dict]]:
+    """Bring sparse integer rows to echelon form by unimodular combinations.
+
+    Returns (pivots, kernel).  pivots maps a column index to the pair
+    (echelon row with that leading column, its transform): the transform is a
+    coefficient dict {input_row_index: coefficient} giving the row as a
+    combination of the inputs, or None unless want_kernel.  kernel lists the
+    transforms of the inputs that reduced to zero; they form a basis of the
+    left kernel lattice (empty unless want_kernel).  Pivots are not made
+    positive and entries above them are not reduced; see `hermite_with_transform`.
     """
-    if a.rows == 0 or a.cols == 0:
-        raise ValueError("snf needs at least one row and one column")
-    m = a.to_array()
-    nrows, ncols = m.shape
-    u = IntMatrix.identity(nrows).to_array()
-    v = IntMatrix.identity(ncols).to_array()
-    t = 0
-    while t < min(nrows, ncols):
-        pos = _min_abs_pivot(m, t)
-        if pos is None:
-            break
-        i, j = pos
-        if i != t:
-            _swap_rows([m, u], t, i)
-        if j != t:
-            _swap_cols([m, v], t, j)
-        while True:
-            if m[t, t] < 0:
-                m[t, t:] = -m[t, t:]
-                u[t, :] = -u[t, :]
-            p = m[t, t]
-            col = m[t + 1 :, t]
-            if np.any(col != 0):
-                q = col // p
-                m[t + 1 :, t:] -= q[:, None] * m[t, t:]
-                u[t + 1 :, :] -= q[:, None] * u[t, :]
-                if np.any(m[t + 1 :, t] != 0):
-                    # a remainder smaller than p survives; re-pivot on it
-                    pos = _min_abs_pivot(m, t)
-                    i, j = pos
-                    if i != t:
-                        _swap_rows([m, u], t, i)
-                    if j != t:
-                        _swap_cols([m, v], t, j)
-                    continue
-            row = m[t, t + 1 :]
-            if np.any(row != 0):
-                q = row // p
-                m[t:, t + 1 :] -= m[t:, t : t + 1] * q[None, :]
-                v[:, t + 1 :] -= v[:, t : t + 1] * q[None, :]
-                if np.any(m[t, t + 1 :] != 0):
-                    pos = _min_abs_pivot(m, t)
-                    i, j = pos
-                    if i != t:
-                        _swap_rows([m, u], t, i)
-                    if j != t:
-                        _swap_cols([m, v], t, j)
-                    continue
-            # column and row are clear; enforce that p divides the rest
-            rest = m[t + 1 :, t + 1 :]
-            bad = np.nonzero(rest % p)
-            if bad[0].size:
-                i = t + 1 + int(bad[0][0])
-                m[t, t:] += m[i, t:]
-                u[t, :] += u[i, :]
-                continue
-            break
-        t += 1
-    d = tuple(int(m[k, k]) for k in range(min(nrows, ncols)))
-    res = SnfResult(d, IntMatrix.from_array(u), IntMatrix.from_array(v))
-    # checked postcondition: the transforms reproduce diag(d) exactly
-    check = res.u.to_array().dot(a.to_array()).dot(res.v.to_array())
-    expect = np.zeros((nrows, ncols), dtype=object)
-    for k, dk in enumerate(d):
-        expect[k, k] = dk
-    assert np.array_equal(check, expect), "snf postcondition violated"
-    return res
+    pivots: dict[int, tuple[dict, dict | None]] = {}
+    kernel_rows: list[dict] = []
+    for idx, row in enumerate(rows):
+        vec = {c: v for c, v in row.items() if v}
+        trans: dict | None = {idx: 1} if want_kernel else None
+        installed = False
+        while vec:
+            c = min(vec)
+            entry = pivots.get(c)
+            if entry is None:
+                pivots[c] = (vec, trans)
+                installed = True
+                break
+            prow, ptrans = entry
+            aa, bb = prow[c], vec[c]
+            if bb % aa == 0:
+                q = bb // aa
+                _axpy(vec, prow, -q)
+                if want_kernel:
+                    _axpy(trans, ptrans, -q)
+            else:
+                x, y, g = xgcd(aa, bb)
+                s, tt = -(bb // g), aa // g
+                new_p = _combine(prow, x, vec, y)
+                new_v = _combine(prow, s, vec, tt)
+                new_pt = new_vt = None
+                if want_kernel:
+                    new_pt = _combine(ptrans, x, trans, y)
+                    new_vt = _combine(ptrans, s, trans, tt)
+                pivots[c] = (new_p, new_pt)
+                vec, trans = new_v, new_vt
+        if not installed and want_kernel and not vec:
+            kernel_rows.append(trans)
+    return pivots, kernel_rows
 
 
-def hermite_with_transform(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Row Hermite normal form (h, u, u_inv) with u @ a == h and u @ u_inv == I.
+def sparse_rank(rows: Iterable[dict]) -> int:
+    pivots, _ = sparse_echelon(rows, want_kernel=False)
+    return len(pivots)
 
-    h is in row-echelon form with positive pivots and reduced entries above
-    each pivot; zero rows come last.  u is unimodular and u_inv its inverse,
-    tracked without rational arithmetic.
+
+def sparse_left_kernel(rows: Sequence[dict]) -> list[dict]:
+    """Basis, as {row_index: coefficient} dicts, of the rows' left kernel."""
+    _, knl = sparse_echelon(rows, want_kernel=True)
+    return knl
+
+
+def sparse_right_kernel(rows: Sequence[dict], n_unknowns: int) -> list[dict]:
+    """Basis of {y : (rows) y = 0}, as dicts over the unknown indices."""
+    return sparse_left_kernel(_transpose_rows(rows, n_unknowns))
+
+
+# ---------------------------------------------------------------------------
+# Normal forms and lattices, all on top of sparse_echelon.
+
+
+def hermite_with_transform(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Row Hermite normal form (h, u) with u @ a == h and u unimodular.
+
+    h is in row-echelon form with positive pivots and entries above each
+    pivot reduced into [0, pivot); zero rows come last.  h has the shape of
+    a and u is square with a.rows rows.  `sparse_echelon` brings the rows to
+    echelon form; then, pivot column by pivot column from the left, each
+    pivot row is made positive and subtracted from the rows above it.  The
+    rows of u from rank(a) on are a basis of the left kernel of a.
     """
     nrows, ncols = a.shape
     if nrows == 0:
-        return a, IntMatrix.zeros(0, 0), IntMatrix.zeros(0, 0)
-    m = a.to_array()
-    u = IntMatrix.identity(nrows).to_array()
-    w = IntMatrix.identity(nrows).to_array()  # u_inv
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pivot_row = None
-        for i in range(r, nrows):
-            if m[i, c] != 0:
-                if pivot_row is None or abs(m[i, c]) < abs(m[pivot_row, c]):
-                    pivot_row = i
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            _swap_rows([m, u], r, pivot_row)
-            _swap_cols([w], r, pivot_row)
-        for i in range(r + 1, nrows):
-            while m[i, c] != 0:
-                aa, bb = m[r, c], m[i, c]
-                if bb % aa == 0:
-                    q = bb // aa
-                    m[i, :] -= q * m[r, :]
-                    u[i, :] -= q * u[r, :]
-                    w[:, r] += q * w[:, i]
-                else:
-                    x, y, g = xgcd(aa, bb)
-                    s, tt = -(bb // g), aa // g
-                    new_r = x * m[r, :] + y * m[i, :]
-                    new_i = s * m[r, :] + tt * m[i, :]
-                    m[r, :], m[i, :] = new_r, new_i
-                    new_ur = x * u[r, :] + y * u[i, :]
-                    new_ui = s * u[r, :] + tt * u[i, :]
-                    u[r, :], u[i, :] = new_ur, new_ui
-                    # right-multiply w by the inverse [[tt, -y], [-s, x]]
-                    col_r = tt * w[:, r] - s * w[:, i]
-                    col_i = -y * w[:, r] + x * w[:, i]
-                    w[:, r], w[:, i] = col_r, col_i
-        if m[r, c] < 0:
-            m[r, :] = -m[r, :]
-            u[r, :] = -u[r, :]
-            w[:, r] = -w[:, r]
-        p = m[r, c]
-        for i in range(r):
-            q = m[i, c] // p
+        return a, IntMatrix.zeros(0, 0)
+    pivots, knl = sparse_echelon(_sparse_rows(a), want_kernel=True)
+    h: list[dict] = []
+    u: list[dict] = []
+    for c in sorted(pivots):
+        vec, trans = pivots[c]
+        if vec[c] < 0:
+            vec = {j: -x for j, x in vec.items()}
+            trans = {j: -x for j, x in trans.items()}
+        p = vec[c]
+        for hrow, urow in zip(h, u):
+            q = hrow.get(c, 0) // p
             if q:
-                m[i, :] -= q * m[r, :]
-                u[i, :] -= q * u[r, :]
-                w[:, r] += q * w[:, i]
-        r += 1
-    return IntMatrix.from_array(m), IntMatrix.from_array(u), IntMatrix.from_array(w)
+                _axpy(hrow, vec, -q)
+                _axpy(urow, trans, -q)
+        h.append(vec)
+        u.append(trans)
+    h.extend({} for _ in knl)
+    return _dense(h, ncols), _dense(u + knl, nrows)
 
 
 def row_span_hnf(a: IntMatrix) -> IntMatrix:
     """Canonical basis (Hermite form, zero rows dropped) of the row span."""
-    h, _, _ = hermite_with_transform(a)
-    keep = [r for r in h.entries if any(x != 0 for x in r)]
+    h, _ = hermite_with_transform(a)
+    keep = [r for r in h.entries if any(r)]
     return IntMatrix(keep, cols=a.cols)
 
 
 def rank(a: IntMatrix) -> int:
-    if a.rows == 0:
-        return 0
-    return row_span_hnf(a).rows
+    return sparse_rank(_sparse_rows(a))
 
 
 def same_row_span(a: IntMatrix, b: IntMatrix) -> bool:
@@ -382,17 +370,82 @@ def row_span_contains(a: IntMatrix, vec: Sequence[int]) -> bool:
 
 def kernel(a: IntMatrix) -> IntMatrix:
     """Lattice basis (rows) of {x : a @ x == 0}, x a column vector."""
-    at = a.transpose()
-    h, u, _ = hermite_with_transform(at)
-    nz = sum(1 for r in h.entries if any(x != 0 for x in r))
-    return IntMatrix(u.entries[nz:], cols=a.cols)
+    return _dense(sparse_right_kernel(_sparse_rows(a), a.cols), a.cols)
 
 
 def left_kernel(a: IntMatrix) -> IntMatrix:
     """Lattice basis (rows) of {c : c @ a == 0}."""
-    h, u, _ = hermite_with_transform(a)
-    nz = sum(1 for r in h.entries if any(x != 0 for x in r))
-    return IntMatrix(u.entries[nz:], cols=a.rows)
+    return _dense(sparse_left_kernel(_sparse_rows(a)), a.rows)
+
+
+def _is_diagonal(m: IntMatrix) -> bool:
+    return not any(any(row[:i]) or any(row[i + 1 :]) for i, row in enumerate(m.entries))
+
+
+def _diagonalize(a: IntMatrix) -> tuple[list[int], list[dict], list[dict]]:
+    """(diagonal, u rows, v-transpose rows) from alternating Hermite steps.
+
+    A function of its own so that the dense matrices of the last step are
+    freed before snf builds its result.
+    """
+    u = [{i: 1} for i in range(a.rows)]
+    vt = [{j: 1} for j in range(a.cols)]
+    m = a
+    while True:
+        m, step = hermite_with_transform(m)
+        u = [_combination(_sparse(r), u) for r in step.entries]
+        if _is_diagonal(m):
+            break
+        m, step = hermite_with_transform(m.transpose())
+        vt = [_combination(_sparse(r), vt) for r in step.entries]
+        m = m.transpose()
+        if _is_diagonal(m):
+            break
+    return [m[k, k] for k in range(min(a.shape))], u, vt
+
+
+def snf(a: IntMatrix) -> SnfResult:
+    """Smith normal form with unimodular transforms.
+
+    Alternates row Hermite reductions of the matrix and of its transpose (via
+    `hermite_with_transform`) until it is diagonal; each round replaces a
+    leading pivot by a divisor of it, or clears that pivot's row and column,
+    so this terminates.  Nonzero diagonal entries come first.  Each pair
+    (p, q) of them with p not dividing q is then replaced by (gcd, lcm).
+    The transforms are kept as sparse rows of u and of v transposed, and the
+    result is checked exactly: an AssertionError is raised unless
+    u @ a @ v == diag(d).  d has min(a.rows, a.cols) entries; u is square of
+    size a.rows and v of size a.cols.  Total on any matrix with at least one
+    row and one column.
+    """
+    if a.rows == 0 or a.cols == 0:
+        raise ValueError("snf needs at least one row and one column")
+    nrows, ncols = a.shape
+    d, u, vt = _diagonalize(a)
+    r = sum(1 for x in d if x)
+    for i in range(r):
+        for j in range(i + 1, r):
+            p, q = d[i], d[j]
+            if q % p:
+                # [[x, y], [-q/g, p/g]] diag(p, q) [[1, -y q/g], [1, x p/g]]
+                # == diag(g, lcm), both transforms of determinant 1
+                x, y, g = xgcd(p, q)
+                d[i], d[j] = g, p // g * q
+                u[i], u[j] = (
+                    _combine(u[i], x, u[j], y),
+                    _combine(u[i], -(q // g), u[j], p // g),
+                )
+                vt[i], vt[j] = (
+                    _combine(vt[i], 1, vt[j], 1),
+                    _combine(vt[i], -y * (q // g), vt[j], x * (p // g)),
+                )
+    v = _transpose_rows(vt, ncols)
+    rows_a = _sparse_rows(a)
+    for i, urow in enumerate(u):
+        expect = {i: d[i]} if i < len(d) and d[i] else {}
+        if _combination(_combination(urow, rows_a), v) != expect:
+            raise AssertionError(f"snf postcondition violated: row {i} of u @ a @ v is not diagonal")
+    return SnfResult(tuple(d), _dense(u, nrows), _dense(v, ncols))
 
 
 def is_direct_summand(span_gens: IntMatrix, ambient_rank: int) -> bool:
@@ -410,23 +463,19 @@ def is_direct_summand(span_gens: IntMatrix, ambient_rank: int) -> bool:
 
 
 def saturate(span_gens: IntMatrix, ambient_rank: int) -> IntMatrix:
-    """Basis of the smallest direct summand containing the row span.
+    """Hermite basis of the smallest direct summand containing the row span.
 
-    Computed from the Hermite form of the transpose: with u @ span^T in
-    echelon form and rank r, the first r columns of u^{-1} are a basis of the
-    saturation (they extend to a basis of the ambient lattice, so their span
-    is saturated, and it contains the row span with the same rational span).
+    This is the Hermite basis of kernel(kernel(span_gens)): the vectors
+    orthogonal to every integer solution of span_gens @ x == 0 are exactly
+    the integral points of the rational row span, and an integer kernel is
+    always saturated.  Returns a matrix with rank(span_gens) rows and
+    ambient_rank columns.
     """
     if span_gens.cols != ambient_rank:
         raise DimensionMismatch(
             f"generators live in Z^{span_gens.cols}, ambient is Z^{ambient_rank}"
         )
-    if span_gens.rows == 0 or span_gens.is_zero():
-        return IntMatrix.zeros(0, ambient_rank)
-    h, u, u_inv = hermite_with_transform(span_gens.transpose())
-    r = sum(1 for row in h.entries if any(x != 0 for x in row))
-    basis = [[u_inv[i, k] for i in range(ambient_rank)] for k in range(r)]
-    return row_span_hnf(IntMatrix(basis, cols=ambient_rank))
+    return row_span_hnf(kernel(kernel(span_gens)))
 
 
 class SummandTransfer(NamedTuple):
@@ -469,92 +518,3 @@ def cokernel(a: IntMatrix) -> FgAbGroup:
     free = a.cols - len(nonzero)
     torsion = tuple(x for x in nonzero if x > 1)
     return FgAbGroup(free, torsion)
-
-
-# ---------------------------------------------------------------------------
-# Sparse integer echelon engine, used by the larger kernel/rank computations
-# (commutant systems, enveloping center checks, expansion rank certificates).
-# Rows are dicts {column: coefficient}.
-
-
-def _axpy(target: dict, source: dict, factor: int) -> None:
-    if factor == 0:
-        return
-    for c, val in source.items():
-        new = target.get(c, 0) + factor * val
-        if new:
-            target[c] = new
-        else:
-            target.pop(c, None)
-
-
-def sparse_echelon(
-    rows: Iterable[dict], want_kernel: bool = False
-) -> tuple[dict, list[dict]]:
-    """Bring sparse integer rows to echelon form by unimodular combinations.
-
-    Returns (pivots, kernel) where pivots maps a column index to the echelon
-    row with that leading column, and kernel lists coefficient dicts
-    {input_row_index: coefficient} spanning the left kernel lattice (empty
-    unless want_kernel).
-    """
-    pivots: dict[int, tuple[dict, dict | None]] = {}
-    kernel_rows: list[dict] = []
-    for idx, row in enumerate(rows):
-        vec = {c: v for c, v in row.items() if v}
-        trans: dict | None = {idx: 1} if want_kernel else None
-        installed = False
-        while vec:
-            c = min(vec)
-            entry = pivots.get(c)
-            if entry is None:
-                pivots[c] = (vec, trans)
-                installed = True
-                break
-            prow, ptrans = entry
-            aa, bb = prow[c], vec[c]
-            if bb % aa == 0:
-                q = bb // aa
-                _axpy(vec, prow, -q)
-                if want_kernel:
-                    _axpy(trans, ptrans, -q)
-            else:
-                x, y, g = xgcd(aa, bb)
-                s, tt = -(bb // g), aa // g
-                new_p = _combine(prow, x, vec, y)
-                new_v = _combine(prow, s, vec, tt)
-                new_pt = new_vt = None
-                if want_kernel:
-                    new_pt = _combine(ptrans, x, trans, y)
-                    new_vt = _combine(ptrans, s, trans, tt)
-                pivots[c] = (new_p, new_pt)
-                vec, trans = new_v, new_vt
-        if not installed and want_kernel and not vec:
-            kernel_rows.append(trans)
-    return pivots, kernel_rows
-
-
-def _combine(a: dict, ca: int, b: dict, cb: int) -> dict:
-    out = {}
-    for c, v in a.items():
-        val = ca * v
-        if val:
-            out[c] = val
-    for c, v in b.items():
-        val = out.get(c, 0) + cb * v
-        if val:
-            out[c] = val
-        else:
-            out.pop(c, None)
-    return out
-
-
-def sparse_rank(rows: Iterable[dict]) -> int:
-    pivots, _ = sparse_echelon(rows, want_kernel=False)
-    return len(pivots)
-
-
-def sparse_left_kernel(rows: Sequence[dict]) -> list[dict]:
-    """Basis, as {row_index: coefficient} dicts, of the rows' left kernel."""
-    _, knl = sparse_echelon(rows, want_kernel=True)
-    return knl

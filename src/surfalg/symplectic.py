@@ -323,16 +323,6 @@ def johnson_image(g: int) -> IntMatrix:
     return IntMatrix(rows, cols=len(space.triples()))
 
 
-def _sparse_right_kernel(rows: list[dict], n_unknowns: int) -> list[dict]:
-    """Basis of {y : (rows) y = 0}, as dicts over the unknown indices."""
-    cols: list[dict] = [dict() for _ in range(n_unknowns)]
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            if v:
-                cols[c][r] = v
-    return intlinalg.sparse_left_kernel(cols)
-
-
 def _commutation_rows(action: IntMatrix):
     """Sparse equations A X - X A = 0 over the flattened unknown X."""
     n = action.rows
@@ -393,7 +383,7 @@ def commutant_dimension(g: int) -> int:
                 if row:
                     rows.append(row)
             width = len(basis)
-        combos = _sparse_right_kernel(rows, width)
+        combos = intlinalg.sparse_right_kernel(rows, width)
         if not combos:
             return 0
         if basis is None:

@@ -166,3 +166,4 @@ class TestMain:
         )
         assert proc.returncode == 0, proc.stderr
         json.loads(proc.stdout)
+        assert "RuntimeWarning" not in proc.stderr

@@ -1,6 +1,12 @@
 """Normal forms, saturation, and summand certificates."""
 
 import random
+import subprocess
+import sys
+import textwrap
+from itertools import combinations
+from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +17,7 @@ from surfalg.intlinalg import (
     FgAbGroup,
     IntMatrix,
     cokernel,
+    hermite_with_transform,
     is_direct_summand,
     kernel,
     left_kernel,
@@ -47,6 +54,39 @@ def det_bareiss(rows):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def minors(rows, k):
+    """Every k x k minor of rows, by det_bareiss."""
+    for ri in combinations(range(len(rows)), k):
+        for ci in combinations(range(len(rows[0])), k):
+            yield det_bareiss([[rows[i][j] for j in ci] for i in ri])
+
+
+def determinantal_divisor(rows, k):
+    """gcd of the k x k minors: d_1 * ... * d_k for Smith invariant factors d."""
+    return gcd(*minors(rows, k))
+
+
+def oracle_rank(rows):
+    """Largest k with a nonzero k x k minor, independent of the echelon engine."""
+    k = 0
+    while rows and k < min(len(rows), len(rows[0])) and any(minors(rows, k + 1)):
+        k += 1
+    return k
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_python(*args):
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        timeout=60,
+    )
 
 
 def random_matrix(rng, rows, cols, bound=4):
@@ -93,6 +133,16 @@ class TestSnf:
         assert abs(det_bareiss(res.v.entries)) == 1
         assert res.rank == rank(a)
 
+    @settings(max_examples=80, deadline=None)
+    @given(small_matrices)
+    def test_matches_determinantal_divisors(self, a):
+        # d_1 * ... * d_k is the gcd of the k x k minors, whatever the algorithm
+        d = snf(a).d
+        prod = 1
+        for k in range(1, len(d) + 1):
+            prod *= d[k - 1]
+            assert prod == determinantal_divisor(a.entries, k)
+
     def test_larger_matrices_stay_exact(self):
         # the sizes the exterior-cube computations feed in, with entries big
         # enough that float arithmetic would silently go wrong
@@ -103,8 +153,7 @@ class TestSnf:
             for x, y in zip(res.d, res.d[1:]):
                 if x != 0:
                     assert y % x == 0
-            u, v = res.u.to_array(), res.v.to_array()
-            prod = u.dot(a.to_array()).dot(v)
+            prod = res.u @ a @ res.v
             for i in range(rows):
                 for j in range(cols):
                     assert prod[i, j] == (res.d[i] if i == j and i < len(res.d) else 0)
@@ -116,16 +165,41 @@ class TestSnf:
         assert res.d == (1, big * big)
         assert cokernel(a).torsion == (big * big,)
 
+    def test_postcondition_survives_optimize(self):
+        # the transform check is an explicit raise, not an assert that -O strips
+        script = textwrap.dedent(
+            """
+            import sys
+            from surfalg import intlinalg
+
+            real = intlinalg.hermite_with_transform
+
+            def forged(a):
+                h, u = real(a)
+                rows = [list(r) for r in u.entries]
+                rows[0] = [2 * x for x in rows[0]]
+                return h, intlinalg.IntMatrix(rows, cols=u.cols)
+
+            intlinalg.hermite_with_transform = forged
+            try:
+                intlinalg.snf(intlinalg.IntMatrix([[2, 1], [4, 3]]))
+            except AssertionError as exc:
+                print(sys.flags.optimize, "raised", exc)
+            """
+        )
+        proc = run_python("-O", "-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("1 raised snf postcondition violated")
+
 
 class TestHermiteAndKernels:
     @settings(max_examples=60, deadline=None)
     @given(small_matrices)
     def test_kernel_annihilates(self, a):
         k = kernel(a)
-        at = a.to_array()
         for row in k.entries:
-            out = at.dot(list(row))
-            assert all(x == 0 for x in out)
+            out = a @ IntMatrix([row]).transpose()
+            assert out.is_zero()
         assert k.rows == a.cols - rank(a)
 
     @settings(max_examples=60, deadline=None)
@@ -140,6 +214,27 @@ class TestHermiteAndKernels:
             assert all(x == 0 for x in combo)
         assert k.rows == a.rows - rank(a)
 
+    @settings(max_examples=80, deadline=None)
+    @given(small_matrices)
+    def test_hermite_certificate(self, a):
+        # u @ a == h with u unimodular and h reduced echelon pins h: the
+        # Hermite form of a row span is unique
+        h, u = hermite_with_transform(a)
+        assert h.shape == a.shape and u.shape == (a.rows, a.rows)
+        assert u @ a == h
+        assert abs(det_bareiss(u.entries)) == 1
+        pivots = []
+        for row in h.entries:
+            lead = next((j for j, x in enumerate(row) if x), None)
+            if lead is None:
+                break
+            assert not pivots or lead > pivots[-1][1]
+            assert row[lead] > 0
+            pivots.append((len(pivots), lead))
+        assert not any(any(row) for row in h.entries[len(pivots) :])
+        for i, c in pivots:
+            assert all(0 <= h[k, c] < h[i, c] for k in range(i))
+
     def test_row_span_membership(self):
         a = IntMatrix([[1, 2, 0], [0, 0, 3]])
         assert row_span_contains(a, (2, 4, 3))
@@ -147,6 +242,7 @@ class TestHermiteAndKernels:
         assert not row_span_contains(a, (0, 0, 1))
 
     def test_sparse_engine_matches_dense(self):
+        # the dense reference is the rank from minors
         rng = random.Random(7)
         for _ in range(25):
             a = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), bound=3)
@@ -154,9 +250,10 @@ class TestHermiteAndKernels:
                 {j: v for j, v in enumerate(r) if v}
                 for r in a.entries
             ]
-            assert sparse_rank(rows) == rank(a)
+            r = oracle_rank(a.entries)
+            assert sparse_rank(rows) == rank(a) == r
             knl = sparse_left_kernel(rows)
-            assert len(knl) == a.rows - rank(a)
+            assert len(knl) == a.rows - r
             for combo in knl:
                 acc = [0] * a.cols
                 for i, c in combo.items():
@@ -165,12 +262,12 @@ class TestHermiteAndKernels:
                 assert all(x == 0 for x in acc)
 
     def test_sparse_kernel_spans_same_lattice_as_dense(self):
-        # both engines must produce a basis of the full saturated kernel
-        # lattice, so their Hermite forms coincide
+        # the sparse basis must span the full saturated kernel lattice: k
+        # kernel vectors, k the corank from minors, whose k x k minors have
+        # gcd 1 are independent and span a direct summand of that rank
         rng = random.Random(99)
         for _ in range(25):
             a = random_matrix(rng, rng.randint(2, 6), rng.randint(1, 4), bound=3)
-            dense = left_kernel(a)
             combos = sparse_left_kernel(
                 [{j: v for j, v in enumerate(r) if v} for r in a.entries]
             )
@@ -178,7 +275,11 @@ class TestHermiteAndKernels:
                 [[combo.get(i, 0) for i in range(a.rows)] for combo in combos],
                 cols=a.rows,
             )
-            assert same_row_span(dense, sparse)
+            k = a.rows - oracle_rank(a.entries)
+            assert sparse.rows == k
+            assert (sparse @ a).is_zero()
+            if k:
+                assert determinantal_divisor(sparse.entries, k) == 1
 
 
 class TestSummand:
@@ -221,6 +322,19 @@ class TestSaturate:
         for row in a.entries:
             assert row_span_contains(s, row)
         assert rank(s) == rank(a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_matrices)
+    def test_saturation_certificate(self, a):
+        # checked by minors alone: s has rank(a) rows, adding the rows of a
+        # keeps the rank, and the maximal minors of s have gcd 1, so s is a
+        # basis of a direct summand that contains every row of a
+        s = saturate(a, a.cols)
+        r = oracle_rank(a.entries)
+        assert s.rows == r
+        assert oracle_rank(s.entries + a.entries) == r
+        if r:
+            assert determinantal_divisor(s.entries, r) == 1
 
 
 class TestCokernel:
@@ -286,6 +400,19 @@ def test_matmul_and_transpose():
     b = IntMatrix([[0, 1], [1, 0]])
     assert a @ b == IntMatrix([[2, 1], [4, 3]])
     assert a.transpose() == IntMatrix([[1, 3], [2, 4]])
+
+
+def test_no_numpy_import():
+    script = (
+        "import sys, surfalg\n"
+        "from surfalg import intlinalg\n"
+        "a = intlinalg.IntMatrix([[2, 4, 6], [1, 0, 3]])\n"
+        "intlinalg.snf(a)\n"
+        "intlinalg.saturate(a, 3)\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    proc = run_python("-c", script)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_hnf_is_canonical():
