@@ -1,24 +1,5 @@
-"""Rewrite-kernel dispatch: compiled extension when available, else pure Python.
+"""Noncommutative rewrite kernel; the implementation lives in _pure."""
 
-Set SURFALG_PURE=1 to force the pure fallback even when the compiled module
-is importable (used by the benchmark and the agreement tests).
-"""
-
-import os
-
-from . import _pure
-
-if os.environ.get("SURFALG_PURE"):
-    _impl = _pure
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        _impl = _pure
-
-IMPLEMENTATION = _impl.IMPLEMENTATION
-reduce_word = _impl.reduce_word
-reduce_terms = _impl.reduce_terms
-mul_reduce = _impl.mul_reduce
+from ._pure import IMPLEMENTATION, mul_reduce, reduce_terms, reduce_word
 
 __all__ = ["IMPLEMENTATION", "reduce_word", "reduce_terms", "mul_reduce"]

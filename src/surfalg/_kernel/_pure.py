@@ -1,15 +1,13 @@
 """Pure-Python noncommutative rewrite kernel.
 
-The compiled twin in _speedups.pyx implements the same three functions with
-the same semantics; keep the two in sync.  Words are tuples of small ints,
-coefficients are arbitrary-precision ints, polynomials are dicts word -> coeff
-with no zero values.  The single rewrite rule sends the two-letter word
-(lead0, lead1) to the polynomial given by parallel tuples rhs_words /
-rhs_coeffs.  Replacement words are either two letters and lexicographically
-below the leading word, or strictly longer (an inhomogeneous tail); with
-max_len >= 0 words beyond that length are dropped, which makes leftmost
-rewriting terminating, and the leading word never overlaps itself, so the
-normal form is unique.
+Words are tuples of small ints, coefficients are arbitrary-precision ints,
+polynomials are dicts word -> coeff with no zero values.  The single rewrite
+rule sends the two-letter word (lead0, lead1) to the polynomial given by
+parallel tuples rhs_words / rhs_coeffs.  Replacement words are either two
+letters and lexicographically below the leading word, or strictly longer (an
+inhomogeneous tail); with max_len >= 0 words beyond that length are dropped,
+which makes leftmost rewriting terminating, and the leading word never
+overlaps itself, so the normal form is unique.
 
 Callers own the memo dict and must key it per (rule, max_len); the same memo
 may be shared across calls only when those two are fixed.

@@ -45,7 +45,8 @@ class EnvelopingAlgebra:
             relation[(2 * k + 1, 2 * k)] = -1
         self.relation = relation
         lead = max(relation, key=_deglex_key)
-        assert relation[lead] == -1
+        if relation[lead] != -1:
+            raise AssertionError("the leading word must carry coefficient -1")
         self.lead = lead
         rhs = [(w, c) for w, c in relation.items() if w != lead]
         self.rhs_words = tuple(w for w, _ in rhs)
@@ -58,10 +59,13 @@ class EnvelopingAlgebra:
         # degree-preserving, strictly decreasing, and overlap-free: these are
         # exactly the hypotheses that make the single rule confluent
         lead = self.lead
-        assert all(len(w) == len(lead) for w in self.rhs_words)
-        assert all(_deglex_key(w) < _deglex_key(lead) for w in self.rhs_words)
+        if any(len(w) != len(lead) for w in self.rhs_words):
+            raise AssertionError("the rewrite rule does not preserve degree")
+        if any(_deglex_key(w) >= _deglex_key(lead) for w in self.rhs_words):
+            raise AssertionError("the rewrite rule does not decrease words")
         for cut in range(1, len(lead)):
-            assert lead[-cut:] != lead[:cut], "leading word overlaps itself"
+            if lead[-cut:] == lead[:cut]:
+                raise AssertionError("leading word overlaps itself")
 
     def __repr__(self):
         return f"EnvelopingAlgebra(genus={self.genus})"

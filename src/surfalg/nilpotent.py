@@ -118,6 +118,18 @@ def surface_relator(genus: int) -> GroupWord:
     return out
 
 
+def _add(a: dict, b: dict, scale: int) -> dict:
+    """a + scale * b, with no zero coefficients."""
+    out = dict(a)
+    for w, c in b.items():
+        val = out.get(w, 0) + scale * c
+        if val:
+            out[w] = val
+        else:
+            del out[w]
+    return out
+
+
 def _free_mul(a: dict, b: dict, max_degree: int) -> dict:
     """Truncated product in the free tensor algebra (no rewriting)."""
     out: dict = {}
@@ -178,8 +190,10 @@ class GroupRingTruncation:
             defect = {w: c for w, c in defect.items() if c}
             # the two-letter part of the defect is the graded relation, with
             # the leading word carrying coefficient -1
-            assert {w: c for w, c in defect.items() if len(w) == 2} == self.graded.relation
-            assert all(len(w) >= 2 for w in defect)
+            if {w: c for w, c in defect.items() if len(w) == 2} != self.graded.relation:
+                raise AssertionError("relator defect differs from the graded relation")
+            if any(len(w) < 2 for w in defect):
+                raise AssertionError("relator defect has a term below degree two")
         rhs = [(w, c) for w, c in defect.items() if w != self.lead]
         self.rhs_words = tuple(w for w, _ in rhs)
         self.rhs_coeffs = tuple(c for _, c in rhs)
@@ -224,12 +238,39 @@ class GroupRingTruncation:
     def expand(self, word: GroupWord) -> "MagnusSeries":
         return MagnusSeries(self, self.expand_raw(word))
 
+    def inverse_raw(self, word: GroupWord) -> dict:
+        """Expansion of word^-1 from the cached expansion of word.
+
+        With X = E(word), X^-1 = sum_n (1 - X)^n; 1 - X has no constant
+        term, so the powers vanish beyond the truncation and the sum stops.
+        The result is cached under the inverse word's letters.
+        """
+        key = tuple(-l for l in reversed(word.letters))
+        cached = self._cache.get(key)
+        if cached is not None:
+            return cached
+        step = {w: -c for w, c in self.expand_raw(word).items() if w}
+        acc, power = {(): 1}, step
+        while power:
+            acc = _add(acc, power, 1)
+            power = self.mul_raw(power, step)
+        self._cache[key] = acc
+        return acc
+
     def commutator_raw(self, x: GroupWord, y: GroupWord) -> dict:
-        """Expansion of [x, y] from cached expansions of the four factors."""
-        s = self.expand_raw(x)
-        s = self.mul_raw(s, self.expand_raw(y))
-        s = self.mul_raw(s, self.expand_raw(x.inverse()))
-        return self.mul_raw(s, self.expand_raw(y.inverse()))
+        """Expansion of [x, y] = x y x^-1 y^-1 from the cached expansions.
+
+        With X = E(x) and Y = E(y), E([x, y]) = 1 + (XY - YX) X^-1 Y^-1,
+        since (XY - YX) X^-1 Y^-1 = XY X^-1 Y^-1 - 1.  So [x, y] expands to 1
+        exactly when X and Y commute, and then no inverse is formed.
+        """
+        xs, ys = self.expand_raw(x), self.expand_raw(y)
+        defect = _add(self.mul_raw(xs, ys), self.mul_raw(ys, xs), -1)
+        if not defect:
+            return {(): 1}
+        out = self.mul_raw(self.mul_raw(defect, self.inverse_raw(x)), self.inverse_raw(y))
+        out[()] = 1  # the defect has no constant term, so neither has out
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -300,12 +341,28 @@ def equal_in_quotient(u: GroupWord, v: GroupWord, k: int) -> bool:
 
 def hall_commutator_words(genus: int, degree: int) -> list[GroupWord]:
     """Group commutators realizing the degree-d basis bracketings."""
+    return _realize_hall_words(genus, degree, None)
+
+
+def _realize_hall_words(
+    genus: int, degree: int, ring: GroupRingTruncation | None
+) -> list[GroupWord]:
+    """Commutator words of the degree-d bracketings, built from their factors.
+
+    With a ring, every [u, v] met on the way is expanded by commutator_raw
+    from the cached expansions of u and v and stored in the ring's cache, so
+    expand_raw on the returned words is a cache hit.
+    """
     fl = free_lie_algebra(2 * genus)
 
     def realize(tree) -> GroupWord:
         if isinstance(tree, int):
             return GroupWord.generator(genus, tree)
-        return realize(tree[0]).commutator(realize(tree[1]))
+        u, v = realize(tree[0]), realize(tree[1])
+        word = u.commutator(v)
+        if ring is not None and word.letters not in ring._cache:
+            ring._cache[word.letters] = ring.commutator_raw(u, v)
+        return word
 
     return [realize(fl.bracketing(w)) for w in fl.basis_words(degree)]
 
@@ -352,11 +409,12 @@ def center_of_quotient(
     gens = generators(genus)
     verdicts = []
     for j in range(1, k + 1):
-        spanning = hall_commutator_words(genus, j)
+        spanning = _realize_hall_words(genus, j, ring)
         central = 0
         for x in spanning:
             low = MagnusSeries(ring, ring.expand_raw(x)).min_positive_degree()
-            assert low is None or low >= j, "commutator word expands below its layer"
+            if low is not None and low < j:
+                raise AssertionError(f"commutator word expands below its layer {j}")
             if all(ring.commutator_raw(x, y) == {(): 1} for y in gens):
                 central += 1
         verdicts.append(
@@ -396,13 +454,13 @@ def graded_rank_certificate(
     if level < 1:
         raise ValueError("level must be at least 1")
     ring = group_ring_truncation(genus, level)
-    words = hall_commutator_words(genus, level)
+    words = _realize_hall_words(genus, level, ring)
     index = ring.word_index(level)
     rows = []
     for w in words:
         series = ring.expand_raw(w)
-        for ww in series:
-            assert ww == () or len(ww) == level, "lower-degree term in a layer word"
+        if any(ww and len(ww) != level for ww in series):
+            raise AssertionError(f"lower-degree term in a layer-{level} word")
         rows.append({index[ww]: c for ww, c in series.items() if ww})
     got = intlinalg.sparse_rank(rows)
     return RankCertificate(genus, level, len(words), got, expected_rank)

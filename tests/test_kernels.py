@@ -1,19 +1,10 @@
-"""Agreement between the pure-Python and compiled rewrite kernels."""
+"""Properties of the noncommutative rewrite kernel on random inputs."""
 
 import random
 
 import pytest
 
-from surfalg._kernel import IMPLEMENTATION, _pure
-
-try:
-    from surfalg._kernel import _speedups
-except ImportError:
-    _speedups = None
-
-needs_compiled = pytest.mark.skipif(
-    _speedups is None, reason="compiled kernel not built"
-)
+from surfalg._kernel import IMPLEMENTATION, mul_reduce, reduce_terms, reduce_word
 
 
 def graded_rule(genus):
@@ -43,69 +34,64 @@ def random_poly(rng, genus, max_len=5, terms=6):
     return {w: c for w, c in out.items() if c}
 
 
-@needs_compiled
-class TestAgreement:
-    @pytest.mark.parametrize("genus", [1, 2, 3])
-    def test_reduce_word(self, genus):
-        rng = random.Random(genus)
-        lead, rw, rc = graded_rule(genus)
-        memo_p, memo_c = {}, {}
-        for _ in range(200):
-            w = tuple(rng.randrange(2 * genus) for _ in range(rng.randint(0, 6)))
-            got_p = _pure.reduce_word(w, lead[0], lead[1], rw, rc, memo_p)
-            got_c = _speedups.reduce_word(w, lead[0], lead[1], rw, rc, memo_c)
-            assert got_p == got_c
+def truncated_product(a, b, cap):
+    """Unreduced product in the free algebra, words longer than cap dropped."""
+    out = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            if 0 <= cap < len(wa) + len(wb):
+                continue
+            out[wa + wb] = out.get(wa + wb, 0) + ca * cb
+    return {w: c for w, c in out.items() if c}
 
-    @pytest.mark.parametrize("genus", [2, 3])
-    def test_mul_reduce_graded(self, genus):
-        rng = random.Random(10 + genus)
-        lead, rw, rc = graded_rule(genus)
-        memo_p, memo_c = {}, {}
-        for _ in range(60):
-            a = random_poly(rng, genus)
-            b = random_poly(rng, genus)
-            for cap in (-1, 3, 5):
-                got_p = _pure.mul_reduce(a, b, cap, lead[0], lead[1], rw, rc, memo_p)
-                got_c = _speedups.mul_reduce(a, b, cap, lead[0], lead[1], rw, rc, memo_c)
-                assert got_p == got_c
 
-    @pytest.mark.parametrize("genus", [2, 3])
-    def test_truncated_inhomogeneous(self, genus):
-        rng = random.Random(20 + genus)
-        lead, rw, rc = inhomogeneous_rule(genus)
-        for cap in (3, 4, 5):
-            memo_p, memo_c = {}, {}
-            for _ in range(40):
-                a = random_poly(rng, genus, max_len=cap)
-                b = random_poly(rng, genus, max_len=2)
-                got_p = _pure.mul_reduce(a, b, cap, lead[0], lead[1], rw, rc, memo_p, cap)
-                got_c = _speedups.mul_reduce(a, b, cap, lead[0], lead[1], rw, rc, memo_c, cap)
-                assert got_p == got_c
+# At genus 1 the tail word (0, 1, 0) contains the leading word (1, 0), so the
+# inhomogeneous rule terminates there only under a cutoff.
+CASES = [
+    (rule, genus, cutoff)
+    for rule in (graded_rule, inhomogeneous_rule)
+    for genus in (1, 2, 3)
+    for cutoff in (-1, 4)
+    if not (rule is inhomogeneous_rule and genus == 1 and cutoff < 0)
+]
 
-    def test_reduce_terms(self):
-        rng = random.Random(3)
-        lead, rw, rc = graded_rule(2)
-        memo_p, memo_c = {}, {}
-        for _ in range(60):
-            terms = random_poly(rng, 2)
-            got_p = _pure.reduce_terms(terms, lead[0], lead[1], rw, rc, memo_p)
-            got_c = _speedups.reduce_terms(terms, lead[0], lead[1], rw, rc, memo_c)
-            assert got_p == got_c
 
-    def test_big_coefficients_survive(self):
-        # arbitrary precision must be preserved through the compiled path
-        lead, rw, rc = graded_rule(2)
-        big = 10**40
-        a = {(3, 2): big}
-        got = _speedups.reduce_terms(a, lead[0], lead[1], rw, rc, {})
-        assert got == {(0, 1): big, (1, 0): -big, (2, 3): big}
+@pytest.mark.parametrize(
+    "rule,genus,cutoff",
+    CASES,
+    ids=[f"{r.__name__}-g{g}-cut{c}" for r, g, c in CASES],
+)
+def test_mul_reduce_is_reduced_truncated_product(rule, genus, cutoff):
+    rng = random.Random(100 * genus + cutoff)
+    lead, rw, rc = rule(genus)
+    memo = {}
+    for _ in range(40):
+        a = random_poly(rng, genus)
+        b = random_poly(rng, genus, max_len=3)
+        for cap in (-1, 3, 5):
+            want = reduce_terms(
+                truncated_product(a, b, cap), lead[0], lead[1], rw, rc, {}, cutoff
+            )
+            got = mul_reduce(a, b, cap, lead[0], lead[1], rw, rc, memo, cutoff)
+            assert got == want
+            for w in got:
+                assert cutoff < 0 or len(w) <= cutoff
+                assert all(w[i : i + 2] != lead for i in range(len(w) - 1))
+
+
+def test_big_coefficients_survive():
+    lead, rw, rc = graded_rule(2)
+    big = 10**40
+    want = {(0, 1): big, (1, 0): -big, (2, 3): big}
+    assert reduce_terms({(3, 2): big}, lead[0], lead[1], rw, rc, {}) == want
+    assert mul_reduce({(3,): big}, {(2,): 1}, -1, lead[0], lead[1], rw, rc, {}) == want
 
 
 def test_dispatch_reports_implementation():
-    assert IMPLEMENTATION in ("pure", "cython")
+    assert IMPLEMENTATION == "pure"
 
 
 def test_pure_kernel_drops_beyond_cutoff():
     lead, rw, rc = inhomogeneous_rule(2)
-    out = _pure.reduce_word((0,) * 9, lead[0], lead[1], rw, rc, {}, 4)
+    out = reduce_word((0,) * 9, lead[0], lead[1], rw, rc, {}, 4)
     assert out == {}

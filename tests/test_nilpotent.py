@@ -1,10 +1,15 @@
 """Group words, truncated expansions, quotient centers, and the word identity."""
 
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 from surfalg.nilpotent import (
+    GroupRingTruncation,
     GroupWord,
     MagnusSeries,
     center_of_quotient,
@@ -16,8 +21,11 @@ from surfalg.nilpotent import (
     hall_commutator_words,
     surface_relator,
     verify_identity_viii,
+    _realize_hall_words,
 )
 from surfalg.surface import build
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def random_word(rng, genus, max_len=8):
@@ -179,6 +187,40 @@ class TestCenterOfQuotient:
         with pytest.raises(ValueError):
             center_of_quotient(2, 1)
 
+    def test_g3_k5(self):
+        rep = center_of_quotient(3, 5)
+        assert rep.passed
+        top = rep.layers[-1]
+        assert top.spanning_count == top.central_count == 1554
+
+    def test_layer_check_survives_optimize(self):
+        # a forged expansion with a term below its layer must still be caught
+        # when -O strips assert statements
+        script = textwrap.dedent(
+            """
+            import sys
+            from surfalg.nilpotent import (
+                center_of_quotient, group_ring_truncation, hall_commutator_words,
+            )
+
+            x = hall_commutator_words(2, 2)[0]
+            group_ring_truncation(2, 3)._cache[x.letters] = {(): 1, (0,): 1}
+            try:
+                center_of_quotient(2, 3)
+            except AssertionError as exc:
+                print(sys.flags.optimize, "raised", exc)
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("1 raised commutator word expands below its layer 2")
+
     def test_agrees_with_graded_center(self):
         # two independent routes: the graded kernel computation and the
         # word-level commutator expansions must produce the same verdict
@@ -188,6 +230,41 @@ class TestCenterOfQuotient:
         graded = verify_center_theorem(alg)
         word_level = center_of_quotient(2, 3)
         assert graded.passed and word_level.passed
+
+
+@pytest.mark.parametrize("genus,K", [(2, 5), (3, 4)])
+class TestCommutatorRoute:
+    """Hall words expanded from their factors against the letter-by-letter route."""
+
+    @staticmethod
+    def hall_words(ring):
+        # realizing the words through center_of_quotient's route seeds ring's
+        # cache with each commutator's expansion
+        words = []
+        for j in range(1, ring.truncation + 1):
+            words += _realize_hall_words(ring.genus, j, ring)
+        return words
+
+    def test_seeded_expansion_is_letter_by_letter(self, genus, K):
+        ring, fresh = GroupRingTruncation(genus, K), GroupRingTruncation(genus, K)
+        words = self.hall_words(ring)
+        for x in words:
+            if len(x) > 1:
+                assert x.letters in ring._cache
+            assert ring.expand_raw(x) == fresh.expand_raw(x)
+
+    def test_commutator_is_four_factor_product(self, genus, K):
+        ring, fresh = GroupRingTruncation(genus, K), GroupRingTruncation(genus, K)
+
+        def four_factor(x, y):
+            s = fresh.expand_raw(x)
+            for w in (y, x.inverse(), y.inverse()):
+                s = fresh.mul_raw(s, fresh.expand_raw(w))
+            return s
+
+        for x in self.hall_words(ring):
+            for y in generators(genus):
+                assert ring.commutator_raw(x, y) == four_factor(x, y)
 
 
 class TestRankCertificates:
