@@ -22,7 +22,7 @@ cli         batch verification runner with JSON/text reports
 __version__ = "0.1.0"
 
 from . import enveloping, freelie, intlinalg, nilpotent, surface, symplectic, torelli
-from .errors import ResourceLimitExceeded
+from .errors import CertificateError, ResourceLimitExceeded
 from .intlinalg import (
     DimensionMismatch,
     FgAbGroup,
@@ -36,6 +36,7 @@ from .intlinalg import (
 )
 
 __all__ = [
+    "CertificateError",
     "DimensionMismatch",
     "FgAbGroup",
     "IntMatrix",

@@ -14,6 +14,7 @@ import json
 import random
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from math import comb
 
@@ -39,8 +40,8 @@ from .symplectic import (
     SymplecticSpace,
     commutant_dimension,
     contraction_matrix,
+    generator_actions,
     johnson_image,
-    lambda3_action,
     sp_generators,
     summand_correspondence_roundtrip,
 )
@@ -212,6 +213,11 @@ def _run_check(checks: list, name: str, anchor: str, func) -> None:
         status = "pass" if _jsonable(expected) == _jsonable(actual) else "fail"
     except ResourceLimitExceeded as exc:
         expected, actual, status = None, f"skipped: {exc}", "skipped"
+    except Exception as exc:
+        # a broken certificate or any other fault fails this check alone
+        print(f"surfalg: check {name} raised", file=sys.stderr)
+        traceback.print_exc()
+        expected, actual, status = None, f"error: {type(exc).__name__}: {exc}", "fail"
     ms = int((time.perf_counter() - start) * 1000)
     checks.append(CheckResult(name, anchor, status, expected, actual, ms))
 
@@ -386,21 +392,21 @@ def _suite_sp_decomposition(s: _Session) -> list[CheckResult]:
 
     def equivariance():
         c = contraction_matrix(space)
-        gens = sp_generators(g)
-        matrix_ok = sum(1 for gen in gens if c @ lambda3_action(gen) == gen.matrix @ c)
+        pairs = generator_actions(g)
+        matrix_ok = sum(1 for gen, action in pairs if c @ action == gen.matrix @ c)
         rng = s.rng("sp-decomposition")
         n = comb(2 * g, 3)
         trials = cfg.trials
         vec_ok = 0
         for _ in range(trials):
-            gen = rng.choice(gens)
+            gen, action = rng.choice(pairs)
             v = IntMatrix([[rng.randint(-5, 5) for _ in range(n)]]).transpose()
-            lhs = c @ (lambda3_action(gen) @ v)
+            lhs = c @ (action @ v)
             rhs = gen.matrix @ (c @ v)
             if lhs == rhs:
                 vec_ok += 1
         return (
-            {"generators": len(gens), "vector_trials": trials},
+            {"generators": len(pairs), "vector_trials": trials},
             {"generators": matrix_ok, "vector_trials": vec_ok},
         )
 

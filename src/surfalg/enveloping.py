@@ -16,7 +16,7 @@ from typing import Iterable
 
 from . import intlinalg
 from ._kernel import mul_reduce, reduce_terms, reduce_word
-from .errors import ResourceLimitExceeded
+from .errors import CertificateError, ResourceLimitExceeded
 from .freelie import LieElement
 
 _DIMENSION_CAP = 100_000
@@ -46,7 +46,7 @@ class EnvelopingAlgebra:
         self.relation = relation
         lead = max(relation, key=_deglex_key)
         if relation[lead] != -1:
-            raise AssertionError("the leading word must carry coefficient -1")
+            raise CertificateError("the leading word must carry coefficient -1")
         self.lead = lead
         rhs = [(w, c) for w, c in relation.items() if w != lead]
         self.rhs_words = tuple(w for w, _ in rhs)
@@ -60,12 +60,12 @@ class EnvelopingAlgebra:
         # exactly the hypotheses that make the single rule confluent
         lead = self.lead
         if any(len(w) != len(lead) for w in self.rhs_words):
-            raise AssertionError("the rewrite rule does not preserve degree")
+            raise CertificateError("the rewrite rule does not preserve degree")
         if any(_deglex_key(w) >= _deglex_key(lead) for w in self.rhs_words):
-            raise AssertionError("the rewrite rule does not decrease words")
+            raise CertificateError("the rewrite rule does not decrease words")
         for cut in range(1, len(lead)):
             if lead[-cut:] == lead[:cut]:
-                raise AssertionError("leading word overlaps itself")
+                raise CertificateError("leading word overlaps itself")
 
     def __repr__(self):
         return f"EnvelopingAlgebra(genus={self.genus})"

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .errors import ResourceLimitExceeded
+from .errors import CertificateError, ResourceLimitExceeded
 
 # degree-d components beyond this dimension are outside desk scale
 _DIMENSION_CAP = 50_000
@@ -109,7 +109,8 @@ class FreeLieAlgebra:
         """w = u v with v the lexicographically least proper suffix."""
         cached = self._stdfact.get(word)
         if cached is None:
-            assert len(word) >= 2
+            if len(word) < 2:
+                raise CertificateError(f"a word of length {len(word)} has no standard factorization")
             best = 1
             for i in range(2, len(word)):
                 if word[i:] < word[best:]:

@@ -6,13 +6,16 @@ arbitrary-precision Python ints throughout.  A single elimination routine,
 `sparse_echelon`, does every reduction on rows stored as dicts
 {column: coefficient}; the normal forms, kernels and ranks are built on its
 output.  Every matrix value is immutable and every operation returns fresh
-results, so all functions here are safe to call concurrently.
+results, so all functions here are safe to call concurrently; the one
+cached value, a matrix's echelon memo, is the same whoever fills it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
+
+from .errors import CertificateError
 
 
 class DimensionMismatch(ValueError):
@@ -39,10 +42,15 @@ class IntMatrix:
 
     Dimensions are fixed at construction.  A matrix may have zero rows (an
     empty family of vectors in a known ambient space) but its column count
-    must then be given explicitly.
+    must then be given explicitly.  The public constructor coerces every
+    entry with int() and rejects ragged rows; `IntMatrix._of` skips both and
+    is only for tuple-of-int-tuple rows the engine built itself.  Each
+    instance memoizes its transform-free `sparse_echelon` the first time
+    `row_span_contains` needs it; since the entries never change, the memo
+    never goes stale, and a concurrent first fill only computes it twice.
     """
 
-    __slots__ = ("_data", "_rows", "_cols")
+    __slots__ = ("_data", "_rows", "_cols", "_echelon")
 
     def __init__(self, rows: Iterable[Iterable[int]], cols: int | None = None):
         data = tuple(tuple(int(x) for x in row) for row in rows)
@@ -59,6 +67,17 @@ class IntMatrix:
         self._data = data
         self._rows = len(data)
         self._cols = cols
+        self._echelon = None
+
+    @classmethod
+    def _of(cls, data: tuple[tuple[int, ...], ...], cols: int) -> "IntMatrix":
+        """Wrap rows that are already int tuples of length cols, unchecked."""
+        m = object.__new__(cls)
+        m._data = data
+        m._rows = len(data)
+        m._cols = cols
+        m._echelon = None
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
@@ -97,10 +116,8 @@ class IntMatrix:
         return self._data[i][j]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            [[self._data[i][j] for i in range(self._rows)] for j in range(self._cols)],
-            cols=self._rows,
-        )
+        data = tuple(zip(*self._data)) if self._rows else ((),) * self._cols
+        return IntMatrix._of(data, self._rows)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         """Product computed row by row as combinations of other's sparse rows."""
@@ -184,7 +201,7 @@ def _dense(rows: Sequence[dict], cols: int) -> IntMatrix:
         return vec
 
     # a generator, so only one expanded row is alive next to the tuples
-    return IntMatrix((expand(row) for row in rows), cols=cols)
+    return IntMatrix._of(tuple(tuple(expand(row)) for row in rows), cols)
 
 
 def _transpose_rows(rows: Sequence[dict], cols: int) -> list[dict]:
@@ -298,44 +315,63 @@ def sparse_right_kernel(rows: Sequence[dict], n_unknowns: int) -> list[dict]:
 # Normal forms and lattices, all on top of sparse_echelon.
 
 
-def hermite_with_transform(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row Hermite normal form (h, u) with u @ a == h and u unimodular.
+def _hermite_rows(pivots: dict) -> tuple[list[dict], list[dict]]:
+    """Hermite rows, and their transforms if any, from a `sparse_echelon` result.
 
-    h is in row-echelon form with positive pivots and entries above each
-    pivot reduced into [0, pivot); zero rows come last.  h has the shape of
-    a and u is square with a.rows rows.  `sparse_echelon` brings the rows to
-    echelon form; then, pivot column by pivot column from the left, each
-    pivot row is made positive and subtracted from the rows above it.  The
-    rows of u from rank(a) on are a basis of the left kernel of a.
+    Pivot column by pivot column from the left, each pivot row is made
+    positive and subtracted from the rows above it, so the entries above a
+    pivot p land in [0, p).  The transforms are reduced alongside when the
+    echelon carries them; otherwise the second list is empty.  The pivot
+    rows are updated in place.
     """
-    nrows, ncols = a.shape
-    if nrows == 0:
-        return a, IntMatrix.zeros(0, 0)
-    pivots, knl = sparse_echelon(_sparse_rows(a), want_kernel=True)
     h: list[dict] = []
     u: list[dict] = []
     for c in sorted(pivots):
         vec, trans = pivots[c]
         if vec[c] < 0:
             vec = {j: -x for j, x in vec.items()}
-            trans = {j: -x for j, x in trans.items()}
+            if trans is not None:
+                trans = {j: -x for j, x in trans.items()}
         p = vec[c]
-        for hrow, urow in zip(h, u):
+        for k, hrow in enumerate(h):
             q = hrow.get(c, 0) // p
             if q:
                 _axpy(hrow, vec, -q)
-                _axpy(urow, trans, -q)
+                if trans is not None:
+                    _axpy(u[k], trans, -q)
         h.append(vec)
-        u.append(trans)
+        if trans is not None:
+            u.append(trans)
+    return h, u
+
+
+def hermite_with_transform(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Row Hermite normal form (h, u) with u @ a == h and u unimodular.
+
+    h is in row-echelon form with positive pivots and entries above each
+    pivot reduced into [0, pivot); zero rows come last.  h has the shape of
+    a and u is square with a.rows rows.  `sparse_echelon` brings the rows to
+    echelon form and `_hermite_rows` normalizes it.  The rows of u from
+    rank(a) on are a basis of the left kernel of a.
+    """
+    nrows, ncols = a.shape
+    if nrows == 0:
+        return a, IntMatrix.zeros(0, 0)
+    pivots, knl = sparse_echelon(_sparse_rows(a), want_kernel=True)
+    h, u = _hermite_rows(pivots)
     h.extend({} for _ in knl)
     return _dense(h, ncols), _dense(u + knl, nrows)
 
 
 def row_span_hnf(a: IntMatrix) -> IntMatrix:
-    """Canonical basis (Hermite form, zero rows dropped) of the row span."""
-    h, _ = hermite_with_transform(a)
-    keep = [r for r in h.entries if any(r)]
-    return IntMatrix(keep, cols=a.cols)
+    """Canonical basis (Hermite form, zero rows dropped) of the row span.
+
+    The same rows as the nonzero rows of `hermite_with_transform`, built
+    without the transform.
+    """
+    pivots, _ = sparse_echelon(_sparse_rows(a))
+    h, _ = _hermite_rows(pivots)
+    return _dense(h, a.cols)
 
 
 def rank(a: IntMatrix) -> int:
@@ -349,23 +385,31 @@ def same_row_span(a: IntMatrix, b: IntMatrix) -> bool:
 
 
 def row_span_contains(a: IntMatrix, vec: Sequence[int]) -> bool:
-    """Whether vec lies in the integer row span of a."""
+    """Whether vec lies in the integer row span of a.
+
+    vec is reduced against the echelon rows of a, which have distinct
+    leading columns and span the same lattice: it is a member iff each
+    leading entry met is a multiple of that column's pivot and nothing is
+    left.  The echelon is computed once per matrix and kept on it, so
+    testing many vectors against one matrix costs one elimination.
+    """
     if len(vec) != a.cols:
         raise DimensionMismatch("vector length differs from column count")
-    h = row_span_hnf(a)
-    v = list(int(x) for x in vec)
-    for hrow in h.entries:
-        c = next((j for j, x in enumerate(hrow) if x != 0), None)
-        if c is None:
-            continue
-        if v[c] == 0:
-            continue
-        if v[c] % hrow[c] != 0:
+    if a._echelon is None:
+        a._echelon, _ = sparse_echelon(_sparse_rows(a))
+    pivots = a._echelon
+    v = _sparse([int(x) for x in vec])
+    while v:
+        c = min(v)
+        entry = pivots.get(c)
+        if entry is None:
             return False
-        q = v[c] // hrow[c]
-        for j in range(c, len(v)):
-            v[j] -= q * hrow[j]
-    return all(x == 0 for x in v)
+        prow = entry[0]
+        q, r = divmod(v[c], prow[c])
+        if r:
+            return False
+        _axpy(v, prow, -q)
+    return True
 
 
 def kernel(a: IntMatrix) -> IntMatrix:
@@ -413,7 +457,7 @@ def snf(a: IntMatrix) -> SnfResult:
     so this terminates.  Nonzero diagonal entries come first.  Each pair
     (p, q) of them with p not dividing q is then replaced by (gcd, lcm).
     The transforms are kept as sparse rows of u and of v transposed, and the
-    result is checked exactly: an AssertionError is raised unless
+    result is checked exactly: a CertificateError is raised unless
     u @ a @ v == diag(d).  d has min(a.rows, a.cols) entries; u is square of
     size a.rows and v of size a.cols.  Total on any matrix with at least one
     row and one column.
@@ -444,7 +488,7 @@ def snf(a: IntMatrix) -> SnfResult:
     for i, urow in enumerate(u):
         expect = {i: d[i]} if i < len(d) and d[i] else {}
         if _combination(_combination(urow, rows_a), v) != expect:
-            raise AssertionError(f"snf postcondition violated: row {i} of u @ a @ v is not diagonal")
+            raise CertificateError(f"snf postcondition violated: row {i} of u @ a @ v is not diagonal")
     return SnfResult(tuple(d), _dense(u, nrows), _dense(v, ncols))
 
 

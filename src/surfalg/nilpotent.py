@@ -27,7 +27,7 @@ from typing import Iterable
 from . import intlinalg
 from .enveloping import enveloping_algebra, hilbert_dimension, letter_name
 from ._kernel import mul_reduce, reduce_terms
-from .errors import ResourceLimitExceeded
+from .errors import CertificateError, ResourceLimitExceeded
 from .freelie import free_lie_algebra
 
 _DIMENSION_CAP = 100_000
@@ -191,9 +191,9 @@ class GroupRingTruncation:
             # the two-letter part of the defect is the graded relation, with
             # the leading word carrying coefficient -1
             if {w: c for w, c in defect.items() if len(w) == 2} != self.graded.relation:
-                raise AssertionError("relator defect differs from the graded relation")
+                raise CertificateError("relator defect differs from the graded relation")
             if any(len(w) < 2 for w in defect):
-                raise AssertionError("relator defect has a term below degree two")
+                raise CertificateError("relator defect has a term below degree two")
         rhs = [(w, c) for w, c in defect.items() if w != self.lead]
         self.rhs_words = tuple(w for w, _ in rhs)
         self.rhs_coeffs = tuple(c for _, c in rhs)
@@ -414,7 +414,7 @@ def center_of_quotient(
         for x in spanning:
             low = MagnusSeries(ring, ring.expand_raw(x)).min_positive_degree()
             if low is not None and low < j:
-                raise AssertionError(f"commutator word expands below its layer {j}")
+                raise CertificateError(f"commutator word expands below its layer {j}")
             if all(ring.commutator_raw(x, y) == {(): 1} for y in gens):
                 central += 1
         verdicts.append(
@@ -460,7 +460,7 @@ def graded_rank_certificate(
     for w in words:
         series = ring.expand_raw(w)
         if any(ww and len(ww) != level for ww in series):
-            raise AssertionError(f"lower-degree term in a layer-{level} word")
+            raise CertificateError(f"lower-degree term in a layer-{level} word")
         rows.append({index[ww]: c for ww, c in series.items() if ww})
     got = intlinalg.sparse_rank(rows)
     return RankCertificate(genus, level, len(words), got, expected_rank)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import intlinalg
-from .errors import ResourceLimitExceeded
+from .errors import CertificateError, ResourceLimitExceeded
 from .freelie import FreeLieAlgebra, LieElement, free_lie_algebra, witt_dimension
 from .intlinalg import IntMatrix
 
@@ -222,14 +222,14 @@ def build(g: int, K: int) -> SurfaceAlgebra:
             if ideal.rows:
                 factors = intlinalg.snf(ideal).nonzero_factors
                 if any(f != 1 for f in factors):
-                    raise AssertionError(
+                    raise CertificateError(
                         f"degree-{d} quotient is not free: invariant factors {factors}"
                     )
             pivots = []
             for row in ideal.entries:
                 c = next(j for j, x in enumerate(row) if x != 0)
                 if row[c] != 1:
-                    raise AssertionError(
+                    raise CertificateError(
                         f"degree-{d} ideal basis has a non-unit pivot at column {c}"
                     )
                 pivots.append(c)

@@ -198,13 +198,19 @@ def _sym(g: int, i: int, j: int):
     return m
 
 
-def sp_generators(g: int) -> list[SpGenerator]:
+def sp_generators(g: int) -> tuple[SpGenerator, ...]:
     """All five lambda=1 families over their valid index pairs.
 
     Counts per genus: 2g from the two diagonal families, 2*C(g,2) from the
     symmetric off-diagonal families, g(g-1) from the shear family
-    (g=1: 2, g=2: 8, g=3: 18).
+    (g=1: 2, g=2: 8, g=3: 18).  Built, and checked against the form, once
+    per genus.
     """
+    return _sp_generators(g)
+
+
+@lru_cache(maxsize=None)
+def _sp_generators(g: int) -> tuple[SpGenerator, ...]:
     space = SymplecticSpace(g)
     out = []
     for i in range(g):
@@ -226,7 +232,17 @@ def sp_generators(g: int) -> list[SpGenerator]:
             br = _eye(g)
             br[j][i] -= 1
             out.append(SpGenerator(space, "unit-shear", i, j, _block_matrix(g, top_left=tl, bottom_right=br)))
-    return out
+    return tuple(out)
+
+
+def generator_actions(g: int) -> tuple[tuple[SpGenerator, IntMatrix], ...]:
+    """Pairs (gen, lambda3_action(gen)) over `sp_generators(g)`, built once per genus."""
+    return _generator_actions(g)
+
+
+@lru_cache(maxsize=None)
+def _generator_actions(g: int) -> tuple[tuple[SpGenerator, IntMatrix], ...]:
+    return tuple((gen, lambda3_action(gen)) for gen in sp_generators(g))
 
 
 def _det3(m, rows, cols) -> int:
@@ -254,7 +270,7 @@ def lambda3_action(m: IntMatrix | SpGenerator) -> IntMatrix:
     rows = []
     for t_out in trips:
         rows.append([_det3(ent, t_out, t_in) for t_in in trips])
-    return IntMatrix(rows)
+    return IntMatrix(rows, cols=len(trips))
 
 
 def contraction_matrix(space: SymplecticSpace) -> IntMatrix:
@@ -361,17 +377,17 @@ def commutant_dimension(g: int) -> int:
             f"commutant system with {n * n} unknowns is beyond desk scale"
         )
     basis: list[dict] | None = None  # vectors over the n*n unknowns
-    for gen in sp_generators(g):
+    for _, action in generator_actions(g):
         rows = []
         if basis is None:
-            rows = list(_commutation_rows(lambda3_action(gen)))
+            rows = list(_commutation_rows(action))
             width = n * n
         else:
             by_unknown: dict[int, dict] = {}
             for j, vec in enumerate(basis):
                 for i, v in vec.items():
                     by_unknown.setdefault(i, {})[j] = v
-            for eq in _commutation_rows(lambda3_action(gen)):
+            for eq in _commutation_rows(action):
                 row: dict = {}
                 for i, a in eq.items():
                     for j, b in by_unknown.get(i, {}).items():
@@ -437,8 +453,7 @@ def summand_correspondence_roundtrip(v: IntMatrix, g: int) -> RoundtripReport:
     if v.cols != n:
         raise intlinalg.DimensionMismatch(f"rows must have {n} coordinates")
     invariant = True
-    for gen in sp_generators(g):
-        act = lambda3_action(gen)
+    for _, act in generator_actions(g):
         image = v @ act.transpose()  # row vectors transform by the transpose
         for row in image.entries:
             if not intlinalg.row_span_contains(v, row):

@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 
 from . import intlinalg
 from .enveloping import letter_name
+from .errors import CertificateError
 from .intlinalg import FgAbGroup, IntMatrix
 from .symplectic import SymplecticSpace, wedge3
 
@@ -125,7 +126,8 @@ def q_map(p: BoolPoly) -> tuple[int, ...]:
         if len(m) != 3:
             continue
         w = wedge3(*(_interleaved_to_block(g, i) for i in m))
-        assert w is not None
+        if w is None:
+            raise CertificateError(f"cubic monomial {m} repeats a letter")
         t, _ = w  # signs are invisible mod 2
         out[index[t]] ^= 1
     return tuple(out)
@@ -301,7 +303,8 @@ def decompose_pullback_element(
             t, sign = wedge3(*(_interleaved_to_block(g, i) for i in m))
             lift[index[t]] += sign
     residue = [x - y for x, y in zip(v, lift)]
-    assert all(r % 2 == 0 for r in residue)
+    if any(r % 2 for r in residue):
+        raise CertificateError("the wedge lift of p differs from v by an odd vector")
     bool_part = {m: 1 for m in p.monomials}
     free_part = {i: r // 2 for i, r in enumerate(residue) if r}
     return bool_part, free_part

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from surfalg import cli, torelli
 from surfalg.cli import (
     ConfigError,
     NonDivisibleError,
@@ -17,6 +18,7 @@ from surfalg.cli import (
     main,
     run,
 )
+from surfalg.errors import CertificateError
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -167,3 +169,57 @@ class TestMain:
         assert proc.returncode == 0, proc.stderr
         json.loads(proc.stdout)
         assert "RuntimeWarning" not in proc.stderr
+
+
+class TestFaultIsolation:
+    def _forged(self, *args):
+        raise RuntimeError("forged fault")
+
+    def test_raising_check_fails_alone(self, monkeypatch, capsys):
+        monkeypatch.setattr(torelli, "pullback_d1", self._forged)
+        argv = ["--genus", "2", "--max-degree", "3", "--suite", "torelli-h1,index-formula", "--trials", "5"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        checks = json.loads(captured.out)["checks"]
+        assert [c["name"] for c in checks] == [
+            "pullback-d1-invariants",
+            "pullback-d3-invariants",
+            "boolean-q-properties",
+            "euler-index-equal",
+            "euler-index-multiple",
+            "euler-index-nondivisible",
+        ]
+        failed = [c for c in checks if c["status"] != "pass"]
+        assert [c["name"] for c in failed] == ["pullback-d1-invariants"]
+        assert failed[0]["status"] == "fail"
+        assert failed[0]["actual"] == "error: RuntimeError: forged fault"
+        assert "forged fault" in captured.err
+
+    def test_certificate_error_is_a_failed_check(self, monkeypatch):
+        def broken(g):
+            raise CertificateError("forged certificate")
+
+        monkeypatch.setattr(cli, "johnson_image", broken)
+        rep = run(RunConfig(genus=2, max_degree=3, suites=("johnson-image",), trials=5))
+        assert [c.status for c in rep.checks] == ["fail"] * 3
+        assert rep.checks[0].actual == "error: CertificateError: forged certificate"
+        assert not rep.passed
+
+
+def test_optimized_end_to_end_run_passes():
+    # every certificate is an explicit check, so -O changes no verdict
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "surfalg.cli", "--genus", "2", "--max-degree", "3"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    checks = json.loads(proc.stdout)["checks"]
+    statuses = {c["name"]: c["status"] for c in checks}
+    # the uniqueness certificate is stated for genus >= 3 only
+    assert statuses.pop("commutant-dimension") == "skipped"
+    assert len(statuses) == 28
+    assert set(statuses.values()) == {"pass"}

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surfalg import intlinalg
 from surfalg.intlinalg import (
     DimensionMismatch,
     FgAbGroup,
@@ -420,3 +421,99 @@ def test_hnf_is_canonical():
     b = IntMatrix([[1, 2, 3], [0, 0, 5], [3, 6, 14]])
     assert same_row_span(a, b)
     assert row_span_hnf(a) == row_span_hnf(b)
+
+
+# Rows with zero rows mixed in and entries whose pivots can come out negative
+# or non-unit (all rows scaled by 2 or 3 half of the time).
+membership_cases = st.integers(1, 4).flatmap(
+    lambda c: st.tuples(
+        st.lists(
+            st.one_of(
+                st.just([0] * c),
+                st.lists(st.integers(-6, 6), min_size=c, max_size=c),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.sampled_from([1, 2, 3]),
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+                st.lists(st.integers(-2, 2), min_size=c, max_size=c),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+)
+
+
+class TestRowSpanMembership:
+    @settings(max_examples=300, deadline=None)
+    @given(membership_cases)
+    def test_matches_stacked_hermite_forms(self, case):
+        rows, scale, probes = case
+        a = IntMatrix([[scale * x for x in r] for r in rows])
+        base = row_span_hnf(a)
+        for coeffs, noise in probes:
+            # a combination of the rows, sometimes pushed off the lattice
+            vec = [sum(c * r[j] for c, r in zip(coeffs, a.entries)) + e for j, e in enumerate(noise)]
+            stacked = IntMatrix(list(a.entries) + [vec], cols=a.cols)
+            assert row_span_contains(a, vec) == (row_span_hnf(stacked) == base)
+
+    def test_negative_and_non_unit_pivots(self):
+        a = IntMatrix([[-2, 4, 0], [0, 0, 0], [0, -3, 6]])
+        assert row_span_contains(a, [2, -4, 0])
+        assert row_span_contains(a, [-2, 1, 6])
+        assert not row_span_contains(a, [1, -2, 0])
+        assert not row_span_contains(a, [0, 1, -2])
+        assert not row_span_contains(a, [0, 0, 1])
+        assert row_span_contains(IntMatrix.zeros(2, 3), [0, 0, 0])
+        assert not row_span_contains(IntMatrix.zeros(0, 3), [0, 1, 0])
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            row_span_contains(IntMatrix([[1, 2]]), [1, 2, 3])
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_matrices)
+    def test_row_span_hnf_is_the_nonzero_hermite_rows(self, a):
+        h, _ = hermite_with_transform(a)
+        assert row_span_hnf(a) == IntMatrix([r for r in h.entries if any(r)], cols=a.cols)
+
+
+class TestTrustedConstruction:
+    @settings(max_examples=100, deadline=None)
+    @given(small_matrices, small_matrices)
+    def test_matches_validated_construction(self, a, b):
+        t = a.transpose()
+        assert t == IntMatrix([[a[i, j] for i in range(a.rows)] for j in range(a.cols)], cols=a.rows)
+        assert hash(t) == hash(IntMatrix(t.entries, cols=t.cols))
+        if a.cols == b.rows:
+            product = [
+                [sum(a[i, k] * b[k, j] for k in range(a.cols)) for j in range(b.cols)]
+                for i in range(a.rows)
+            ]
+            assert a @ b == IntMatrix(product, cols=b.cols)
+        dense = intlinalg._dense(intlinalg._sparse_rows(a), a.cols)
+        assert dense == a
+        for m in (t, a @ t, dense):
+            assert type(m.entries) is tuple
+            assert all(type(r) is tuple and len(r) == m.cols for r in m.entries)
+            assert all(type(x) is int for r in m.entries for x in r)
+
+    def test_empty_shapes(self):
+        assert IntMatrix.zeros(0, 3).transpose() == IntMatrix.zeros(3, 0)
+        assert IntMatrix.zeros(3, 0).transpose() == IntMatrix.zeros(0, 3)
+        assert intlinalg._dense([], 4) == IntMatrix.zeros(0, 4)
+
+    def test_public_constructor_still_validates(self):
+        with pytest.raises(ValueError, match="ragged"):
+            IntMatrix([[1, 2], [3]])
+        with pytest.raises(DimensionMismatch):
+            IntMatrix([[1, 2]], cols=3)
+        with pytest.raises(ValueError):
+            IntMatrix([])
+        m = IntMatrix([[True, 2.0], ["3", 4]])
+        assert m.entries == ((1, 2), (3, 4))
+        assert all(type(x) is int for r in m.entries for x in r)

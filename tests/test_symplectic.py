@@ -14,6 +14,7 @@ from surfalg.symplectic import (
     commutant_dimension,
     contraction,
     contraction_matrix,
+    generator_actions,
     h_projector,
     johnson_image,
     lambda3_action,
@@ -42,6 +43,17 @@ class TestGenerators:
         # 2g + 2*C(g,2) + g(g-1), fixed at implementation time
         assert len(sp_generators(2)) == 8
         assert len(sp_generators(3)) == 18
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_built_once_per_genus(self, g):
+        gens = sp_generators(g)
+        assert isinstance(gens, tuple)
+        assert sp_generators(g) is gens
+        pairs = generator_actions(g)
+        assert generator_actions(g) is pairs
+        assert [gen for gen, _ in pairs] == list(gens)
+        for gen, action in pairs:
+            assert action == lambda3_action(gen.matrix)
 
     def test_bad_matrix_rejected(self):
         space = SymplecticSpace(1)

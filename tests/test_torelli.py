@@ -1,7 +1,11 @@
 """Boolean polynomials, the cubic-to-wedge map, and pullback invariants."""
 
 import random
+import subprocess
+import sys
+import textwrap
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -167,3 +171,32 @@ def test_gf2_rank():
     assert gf2_rank([[1, 1], [1, 1]]) == 1
     assert gf2_rank([[1, 1], [0, 0]]) == 1
     assert gf2_rank([]) == 0
+
+
+def test_residue_check_survives_optimize():
+    # a forged membership verdict hands decompose a vector that the wedge lift
+    # of p misses by an odd amount; the residue check must still raise
+    script = textwrap.dedent(
+        """
+        import sys
+        from surfalg import torelli
+        from surfalg.errors import CertificateError
+
+        torelli.pullback_membership = lambda g, p, v: True
+        p = torelli.BoolPoly(2, [torelli.bool_basis(2, 3)[-1]])
+        v = [x + 1 for x in torelli.q_map(p)]
+        try:
+            torelli.decompose_pullback_element(2, p, v)
+        except CertificateError as exc:
+            print(sys.flags.optimize, "raised", exc)
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"), "PATH": "/usr/bin:/bin"},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("1 raised the wedge lift of p differs")
