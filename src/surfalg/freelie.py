@@ -88,6 +88,7 @@ class FreeLieAlgebra:
             raise ValueError("need at least one generator")
         self.n = n
         self._lyndon: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._index: dict[int, dict[tuple[int, ...], int]] = {}
         self._stdfact: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self._brackets: dict[tuple[tuple[int, ...], tuple[int, ...]], dict] = {}
 
@@ -103,6 +104,17 @@ class FreeLieAlgebra:
                 )
             cached = tuple(lyndon_words(self.n, degree))
             self._lyndon[degree] = cached
+        return cached
+
+    def word_index(self, degree: int) -> dict[tuple[int, ...], int]:
+        """{word: position in basis_words(degree)}, built once per degree.
+
+        The dict is shared by every caller: read it, never mutate it.
+        """
+        cached = self._index.get(degree)
+        if cached is None:
+            cached = {w: i for i, w in enumerate(self.basis_words(degree))}
+            self._index[degree] = cached
         return cached
 
     def standard_factorization(self, word: tuple[int, ...]):

@@ -6,8 +6,9 @@ arbitrary-precision Python ints throughout.  A single elimination routine,
 `sparse_echelon`, does every reduction on rows stored as dicts
 {column: coefficient}; the normal forms, kernels and ranks are built on its
 output.  Every matrix value is immutable and every operation returns fresh
-results, so all functions here are safe to call concurrently; the one
-cached value, a matrix's echelon memo, is the same whoever fills it.
+results, so all functions here are safe to call concurrently.  A matrix
+caches two values, its sparse rows and its transform-free echelon; each is
+the same whoever fills it, and no caller may mutate either.
 """
 
 from __future__ import annotations
@@ -43,17 +44,20 @@ class IntMatrix:
     Dimensions are fixed at construction.  A matrix may have zero rows (an
     empty family of vectors in a known ambient space) but its column count
     must then be given explicitly.  The public constructor coerces every
-    entry with int() and rejects ragged rows; `IntMatrix._of` skips both and
+    entry with int(), refuses any non-string entry that int() would change
+    (1.9, 2.5), and rejects ragged rows; `IntMatrix._of` skips all of it and
     is only for tuple-of-int-tuple rows the engine built itself.  Each
-    instance memoizes its transform-free `sparse_echelon` the first time
-    `row_span_contains` needs it; since the entries never change, the memo
-    never goes stale, and a concurrent first fill only computes it twice.
+    instance memoizes two values the first time the engine needs them: its
+    rows as sparse dicts (`_sparse_rows`) and their transform-free
+    `sparse_echelon` (`_pivots`).  Since the entries never change, neither
+    memo goes stale, and a concurrent first fill only computes it twice.
+    Both are shared by every later caller, so no caller may mutate them.
     """
 
-    __slots__ = ("_data", "_rows", "_cols", "_echelon")
+    __slots__ = ("_data", "_rows", "_cols", "_sparse", "_echelon")
 
     def __init__(self, rows: Iterable[Iterable[int]], cols: int | None = None):
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple(map(_int_row, rows))
         if data:
             widths = {len(r) for r in data}
             if len(widths) != 1:
@@ -67,6 +71,7 @@ class IntMatrix:
         self._data = data
         self._rows = len(data)
         self._cols = cols
+        self._sparse = None
         self._echelon = None
 
     @classmethod
@@ -76,6 +81,7 @@ class IntMatrix:
         m._data = data
         m._rows = len(data)
         m._cols = cols
+        m._sparse = None
         m._echelon = None
         return m
 
@@ -124,7 +130,7 @@ class IntMatrix:
         if self._cols != other._rows:
             raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
         basis = _sparse_rows(other)
-        return _dense([_combination(_sparse(r), basis) for r in self._data], other._cols)
+        return _dense([_combination(r, basis) for r in _sparse_rows(self)], other._cols)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntMatrix) and self._data == other._data and self._cols == other._cols
@@ -189,8 +195,36 @@ def _sparse(row: Sequence[int]) -> dict:
     return {j: x for j, x in enumerate(row) if x}
 
 
-def _sparse_rows(a: IntMatrix) -> list[dict]:
-    return [_sparse(r) for r in a.entries]
+def _int_row(row: Iterable) -> tuple[int, ...]:
+    """row as an int tuple: strings are parsed by int(), and any other entry
+    that int() would change (a float with a fraction part) is refused."""
+    row = tuple(row)
+    out = tuple(map(int, row))
+    if out != row:
+        for x, n in zip(row, out):
+            if n != x and not isinstance(x, str):
+                raise ValueError(f"entry {x!r} is not an integer")
+    return out
+
+
+def _sparse_rows(a: IntMatrix) -> tuple[dict, ...]:
+    """a's rows as sparse dicts, memoized on a: read them, never mutate them."""
+    rows = a._sparse
+    if rows is None:
+        rows = a._sparse = tuple(_sparse(r) for r in a.entries)
+    return rows
+
+
+def _pivots(a: IntMatrix) -> dict:
+    """a's transform-free `sparse_echelon` pivots, memoized on a: read only.
+
+    `row_span_hnf` does not use this: `_hermite_rows` updates pivot rows in
+    place.
+    """
+    pivots = a._echelon
+    if pivots is None:
+        pivots = a._echelon = sparse_echelon(_sparse_rows(a))[0]
+    return pivots
 
 
 def _dense(rows: Sequence[dict], cols: int) -> IntMatrix:
@@ -375,7 +409,7 @@ def row_span_hnf(a: IntMatrix) -> IntMatrix:
 
 
 def rank(a: IntMatrix) -> int:
-    return sparse_rank(_sparse_rows(a))
+    return len(_pivots(a))
 
 
 def same_row_span(a: IntMatrix, b: IntMatrix) -> bool:
@@ -391,14 +425,19 @@ def row_span_contains(a: IntMatrix, vec: Sequence[int]) -> bool:
     leading columns and span the same lattice: it is a member iff each
     leading entry met is a multiple of that column's pivot and nothing is
     left.  The echelon is computed once per matrix and kept on it, so
-    testing many vectors against one matrix costs one elimination.
+    testing many vectors against one matrix costs one elimination.  Entries
+    of vec are coerced as by the IntMatrix constructor.
     """
     if len(vec) != a.cols:
         raise DimensionMismatch("vector length differs from column count")
-    if a._echelon is None:
-        a._echelon, _ = sparse_echelon(_sparse_rows(a))
-    pivots = a._echelon
-    v = _sparse([int(x) for x in vec])
+    pivots = _pivots(a)
+    v = {}
+    for j, x in enumerate(vec):
+        n = int(x)
+        if n != x and not isinstance(x, str):
+            raise ValueError(f"entry {x!r} is not an integer")
+        if n:
+            v[j] = n
     while v:
         c = min(v)
         entry = pivots.get(c)
@@ -437,11 +476,11 @@ def _diagonalize(a: IntMatrix) -> tuple[list[int], list[dict], list[dict]]:
     m = a
     while True:
         m, step = hermite_with_transform(m)
-        u = [_combination(_sparse(r), u) for r in step.entries]
+        u = [_combination(r, u) for r in _sparse_rows(step)]
         if _is_diagonal(m):
             break
         m, step = hermite_with_transform(m.transpose())
-        vt = [_combination(_sparse(r), vt) for r in step.entries]
+        vt = [_combination(r, vt) for r in _sparse_rows(step)]
         m = m.transpose()
         if _is_diagonal(m):
             break
@@ -493,17 +532,25 @@ def snf(a: IntMatrix) -> SnfResult:
 
 
 def is_direct_summand(span_gens: IntMatrix, ambient_rank: int) -> bool:
-    """Whether the row span is a saturated submodule of Z^ambient_rank.
+    """Whether the row span L is a saturated submodule (a direct summand) of
+    Z^ambient_rank, i.e. whether Z^ambient_rank / L is torsion-free.
 
-    True iff every nonzero Smith invariant factor equals 1.
+    The echelon rows B of span_gens (memoized, shared with `rank` and
+    `row_span_contains`) are r = rank independent rows spanning L.  A
+    transform-free echelon of the transpose brings it, by unimodular row
+    operations U, to an r x r triangular block T over zero rows; then
+    B @ U.T == [T.T | 0], so Z^n / L is isomorphic to Z^r / T.T Z^r plus
+    Z^(n-r).  That is torsion-free iff |det T| == 1, iff every pivot of T is
+    +-1.  The verdict is exact and equals "every nonzero Smith invariant
+    factor is 1", without building a Smith form.
     """
     if span_gens.cols != ambient_rank:
         raise DimensionMismatch(
             f"generators live in Z^{span_gens.cols}, ambient is Z^{ambient_rank}"
         )
-    if span_gens.rows == 0 or span_gens.is_zero():
-        return True
-    return all(x == 1 for x in snf(span_gens).nonzero_factors)
+    echelon_rows = [row for row, _ in _pivots(span_gens).values()]
+    triangle, _ = sparse_echelon(_transpose_rows(echelon_rows, ambient_rank))
+    return all(abs(row[c]) == 1 for c, (row, _) in triangle.items())
 
 
 def saturate(span_gens: IntMatrix, ambient_rank: int) -> IntMatrix:

@@ -38,7 +38,11 @@ class GroupWord:
 
     Letters are nonzero ints: +(i+1) is the generator with project letter
     index i, negative its inverse.  No adjacent inverse pairs survive
-    construction.
+    construction.  The public constructor coerces each letter with int(),
+    refusing any non-string letter that int() would change, checks the
+    alphabet and reduces fully; `GroupWord._of` skips all of it and is only
+    for letters that are already reduced, as products and inverses of
+    reduced words are.
     """
 
     __slots__ = ("genus", "letters")
@@ -47,8 +51,10 @@ class GroupWord:
         if genus < 1:
             raise ValueError("genus must be at least 1")
         stack: list[int] = []
-        for l in letters:
-            l = int(l)
+        for x in letters:
+            l = int(x)
+            if l != x and not isinstance(x, str):
+                raise ValueError(f"letter {x!r} is not an integer")
             if l == 0 or abs(l) > 2 * genus:
                 raise ValueError(f"letter {l} outside the alphabet of genus {genus}")
             if stack and stack[-1] == -l:
@@ -57,6 +63,14 @@ class GroupWord:
                 stack.append(l)
         self.genus = genus
         self.letters = tuple(stack)
+
+    @classmethod
+    def _of(cls, genus: int, letters: tuple[int, ...]) -> "GroupWord":
+        """Wrap a tuple of freely reduced letters of the genus, unchecked."""
+        w = object.__new__(cls)
+        w.genus = genus
+        w.letters = letters
+        return w
 
     @classmethod
     def generator(cls, genus: int, index: int) -> "GroupWord":
@@ -70,11 +84,17 @@ class GroupWord:
             raise ValueError("words over different alphabets")
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
+        """Concatenation; both factors are reduced, so only the letters
+        meeting at the junction can cancel."""
         self._check_same(other)
-        return GroupWord(self.genus, self.letters + other.letters)
+        a, b = self.letters, other.letters
+        k, n = 0, min(len(a), len(b))
+        while k < n and a[-1 - k] == -b[k]:
+            k += 1
+        return GroupWord._of(self.genus, a[: len(a) - k] + b[k:])
 
     def inverse(self) -> "GroupWord":
-        return GroupWord(self.genus, tuple(-l for l in reversed(self.letters)))
+        return GroupWord._of(self.genus, tuple(-l for l in reversed(self.letters)))
 
     def commutator(self, other: "GroupWord") -> "GroupWord":
         return self * other * self.inverse() * other.inverse()

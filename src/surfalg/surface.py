@@ -83,12 +83,7 @@ class SurfaceAlgebra:
     def project(self, elem: LieElement, d: int) -> tuple[int, ...]:
         """Coordinates of the degree-d component in the quotient basis."""
         data = self.degree_data(d)
-        words = self.free.basis_words(d)
-        index = {w: i for i, w in enumerate(words)}
-        vec = [0] * len(words)
-        for w, c in elem.homogeneous_component(d).items():
-            vec[index[w]] = c
-        reduced = self.reduce_free_vector(d, vec)
+        reduced = self.reduce_free_vector(d, self._free_vector(elem, d))
         return tuple(reduced[c] for c in data.basis_columns)
 
     def lift(self, d: int, coords: Sequence[int]) -> LieElement:
@@ -122,9 +117,8 @@ class SurfaceAlgebra:
         return all(x == 0 for x in reduced)
 
     def _free_vector(self, elem: LieElement, d: int) -> list[int]:
-        words = self.free.basis_words(d)
-        index = {w: i for i, w in enumerate(words)}
-        vec = [0] * len(words)
+        index = self.free.word_index(d)
+        vec = [0] * len(index)
         for w, c in elem.homogeneous_component(d).items():
             vec[index[w]] = c
         return vec
@@ -208,7 +202,7 @@ def build(g: int, K: int) -> SurfaceAlgebra:
         current: list[LieElement] = [omega_element(g)]
         for d in range(2, K + 1):
             words = fl.basis_words(d)
-            index = {w: i for i, w in enumerate(words)}
+            index = fl.word_index(d)
             rows = []
             for elem in current:
                 vec = [0] * len(words)

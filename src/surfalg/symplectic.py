@@ -453,8 +453,11 @@ def summand_correspondence_roundtrip(v: IntMatrix, g: int) -> RoundtripReport:
     if v.cols != n:
         raise intlinalg.DimensionMismatch(f"rows must have {n} coordinates")
     invariant = True
+    vt = v.transpose()
     for _, act in generator_actions(g):
-        image = v @ act.transpose()  # row vectors transform by the transpose
+        # row vectors transform by the transpose: v @ act.T == (act @ v.T).T,
+        # and the cached action keeps its sparse rows from call to call
+        image = (act @ vt).transpose()
         for row in image.entries:
             if not intlinalg.row_span_contains(v, row):
                 invariant = False

@@ -72,6 +72,13 @@ class TestHallBasis:
         with pytest.raises(ValueError):
             HallWord(alg, (0, 0))  # periodic
 
+    @pytest.mark.parametrize("n,d", [(2, 5), (4, 3), (4, 6)])
+    def test_word_index_built_once(self, n, d):
+        alg = FreeLieAlgebra(n)
+        index = alg.word_index(d)
+        assert index == {w: i for i, w in enumerate(alg.basis_words(d))}
+        assert alg.word_index(d) is index
+
     def test_degree_is_leaf_count(self):
         for hw in hall_basis(3, 4):
             def leaves(t):

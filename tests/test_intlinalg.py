@@ -517,3 +517,142 @@ class TestTrustedConstruction:
         m = IntMatrix([[True, 2.0], ["3", 4]])
         assert m.entries == ((1, 2), (3, 4))
         assert all(type(x) is int for r in m.entries for x in r)
+
+
+def _summand_oracles(a):
+    """The two Smith-side answers to "is rowspan(a) a direct summand?"."""
+    by_snf = all(f == 1 for f in snf(a).nonzero_factors)
+    r = rank(a)
+    by_minors = r == 0 or determinantal_divisor(a.entries, r) == 1
+    return by_snf, by_minors
+
+
+# base rows, then zero rows, combinations of earlier rows and rows scaled by
+# 2 or 3 mixed in, so dependent rows and non-unit pivots are common
+summand_cases = st.integers(1, 6).flatmap(
+    lambda c: st.tuples(
+        st.lists(st.lists(st.integers(-4, 4), min_size=c, max_size=c), min_size=1, max_size=4),
+        st.lists(
+            st.tuples(st.sampled_from(["zero", "combine", "scale"]), st.integers(-3, 3), st.integers(-3, 3)),
+            max_size=3,
+        ),
+        st.sampled_from([1, 1, 2, 3]),
+    )
+)
+
+
+def _summand_matrix(case):
+    base, extras, scale = case
+    rows = [[scale * x for x in r] for r in base[:1]] + [list(r) for r in base[1:]]
+    for kind, s, t in extras:
+        if kind == "zero":
+            rows.append([0] * len(rows[0]))
+        elif kind == "combine":
+            i, j = s % len(rows), t % len(rows)
+            rows.append([s * x + t * y for x, y in zip(rows[i], rows[j])])
+        else:
+            rows[s % len(rows)] = [(2 + t % 2) * x for x in rows[s % len(rows)]]
+    return IntMatrix(rows)
+
+
+class TestSummandWithoutSmith:
+    """is_direct_summand decides by echelon pivots; SNF and minors are oracles."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(summand_cases)
+    def test_matches_smith_and_minors(self, case):
+        a = _summand_matrix(case)
+        by_snf, by_minors = _summand_oracles(a)
+        assert is_direct_summand(a, a.cols) == by_snf == by_minors
+
+    def test_both_verdicts_over_wide_and_tall_shapes(self):
+        rng = random.Random(7)
+        seen = {True: 0, False: 0}
+        for _ in range(400):
+            r, c = rng.randint(1, 7), rng.randint(1, 7)
+            rows = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)]
+            if rng.random() < 0.3:
+                rows.append([2 * x - y for x, y in zip(rows[0], rows[-1])])
+            a = IntMatrix(rows)
+            verdict = is_direct_summand(a, c)
+            assert (verdict, verdict) == _summand_oracles(a), a
+            seen[verdict] += 1
+        assert min(seen.values()) >= 50
+
+    def test_fixed_cases(self):
+        # pivots of the rows themselves need not be units
+        assert is_direct_summand(IntMatrix([[2, 1]]), 2)
+        assert is_direct_summand(IntMatrix([[2, 3], [3, 5]]), 2)
+        assert not is_direct_summand(IntMatrix([[2, 4], [0, 6]]), 2)
+        assert not is_direct_summand(IntMatrix([[1, 1, 0], [1, -1, 0]]), 3)
+        assert is_direct_summand(IntMatrix([[0, 0], [0, 0]]), 2)
+        assert is_direct_summand(IntMatrix.zeros(0, 3), 3)
+        assert is_direct_summand(IntMatrix([[3, 0, 0], [0, 0, 0], [6, 0, 1]]), 3) is False
+
+
+def _fresh_sparse(a):
+    return tuple({j: x for j, x in enumerate(r) if x} for r in a.entries)
+
+
+class TestMemoizedViews:
+    """The cached sparse rows and echelon survive every engine operation."""
+
+    @staticmethod
+    def _ops(a):
+        b = a.transpose()
+        return {
+            "rank": lambda: rank(a),
+            "contains": lambda: [row_span_contains(a, r) for r in a.entries]
+            + [row_span_contains(a, [1] * a.cols)],
+            "summand": lambda: is_direct_summand(a, a.cols),
+            "row_span_hnf": lambda: row_span_hnf(a),
+            "hermite": lambda: hermite_with_transform(a),
+            "snf": lambda: snf(a).d,
+            "kernel": lambda: kernel(a),
+            "left_kernel": lambda: left_kernel(a),
+            "saturate": lambda: saturate(a, a.cols),
+            "cokernel": lambda: cokernel(a),
+            "same_row_span": lambda: same_row_span(a, a),
+            "left_product": lambda: a @ b,
+            "right_product": lambda: b @ a,
+            "transfer": lambda: tuple(verify_summand_transfer(b, a)),
+        }
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_matrices)
+    def test_every_operation_leaves_the_memos_intact(self, a):
+        fresh = _fresh_sparse(a)
+        for name, op in self._ops(a).items():
+            first = op()
+            assert intlinalg._sparse_rows(a) == fresh, name
+            pivots = intlinalg._pivots(a)
+            expected, _ = intlinalg.sparse_echelon(fresh)
+            assert pivots == expected, name
+            assert op() == first, name
+        assert _fresh_sparse(a) == fresh  # the entries themselves
+
+    def test_memos_are_filled_once(self):
+        a = IntMatrix([[2, 4, 0], [0, 3, 6], [2, 7, 6]])
+        rows = intlinalg._sparse_rows(a)
+        pivots = intlinalg._pivots(a)
+        rank(a), is_direct_summand(a, 3), row_span_contains(a, [0, 3, 6]), a @ a
+        assert intlinalg._sparse_rows(a) is rows
+        assert intlinalg._pivots(a) is pivots
+
+
+class TestNonIntegralInput:
+    def test_matrix_entries(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            IntMatrix([[1.9, 2]])
+        with pytest.raises(ValueError, match="not an integer"):
+            IntMatrix([[1, 2], [3, 0.5]])
+        assert IntMatrix([[2.0, -3.0], ["4", True]]).entries == ((2, -3), (4, 1))
+
+    def test_membership_vector(self):
+        a = IntMatrix([[2, 0]])
+        with pytest.raises(ValueError, match="not an integer"):
+            row_span_contains(a, [2.7, 0])
+        with pytest.raises(ValueError, match="not an integer"):
+            row_span_contains(a, [2, 0.25])
+        assert row_span_contains(a, [4.0, "0"])
+        assert not row_span_contains(a, ["3", 0])

@@ -7,6 +7,8 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfalg.nilpotent import (
     GroupRingTruncation,
@@ -59,6 +61,64 @@ class TestGroupWord:
         # [a1,b1][a2,b2] freely reduced has length 8 at genus 2
         assert len(surface_relator(2)) == 8
         assert len(surface_relator(3)) == 12
+
+    def test_non_integral_letters_refused(self):
+        with pytest.raises(ValueError, match="not an integer"):
+            GroupWord(2, [1.9])
+        with pytest.raises(ValueError, match="not an integer"):
+            GroupWord(2, [1, -2.5])
+        assert GroupWord(2, ["1", 2.0, -2]).letters == (1,)
+
+
+class TestTrustedProducts:
+    """Products and inverses cancel only at the junction of reduced factors;
+    the public constructor's full reduction is the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda g: st.tuples(
+                st.just(g),
+                *(
+                    st.lists(st.integers(1, 2 * g).flatmap(lambda l: st.sampled_from([l, -l])), max_size=8)
+                    for _ in range(3)
+                ),
+                st.sampled_from(["free", "cancel-all", "cancel-prefix"]),
+            )
+        )
+    )
+    def test_match_full_reduction(self, case):
+        g, la, lb, lc, mode = case
+        a = GroupWord(g, la)
+        tail = GroupWord(g, lc)
+        if mode == "free":
+            b = GroupWord(g, lb)
+        elif mode == "cancel-all":
+            b = a.inverse()
+        else:
+            # a^-1 followed by c: a * b == c, the whole of a cancels
+            b = GroupWord(g, [-l for l in reversed(a.letters)] + list(lc))
+        for x, y in ((a, b), (b, a), (a, tail), (b, tail)):
+            prod = x * y
+            assert prod == GroupWord(g, x.letters + y.letters)
+            inv = x.inverse()
+            assert inv == GroupWord(g, [-l for l in reversed(x.letters)])
+            comm = x.commutator(y)
+            assert comm == GroupWord(g, x.letters + y.letters + inv.letters + y.inverse().letters)
+            assert type(prod.letters) is tuple and type(comm.letters) is tuple
+        if mode == "cancel-all":
+            assert (a * b).is_identity()
+        if mode == "cancel-prefix":
+            assert a * b == tail
+
+    def test_products_stay_reduced(self):
+        rng = random.Random(11)
+        for _ in range(500):
+            g = rng.randint(1, 3)
+            x, y = random_word(rng, g), random_word(rng, g)
+            w = (x * y).commutator(y * x.inverse())
+            assert all(p != -q for p, q in zip(w.letters, w.letters[1:]))
+            assert w == GroupWord(g, w.letters)
 
 
 class TestExpand:

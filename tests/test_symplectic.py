@@ -221,6 +221,23 @@ class TestRoundtrip:
             rep = summand_correspondence_roundtrip(u @ base, 3)
             assert bool(rep)
 
+    def test_summand_verdicts_need_no_smith_form(self, monkeypatch):
+        def refuse(a):
+            raise AssertionError("snf called")
+
+        monkeypatch.setattr(intlinalg, "snf", refuse)
+        assert bool(summand_correspondence_roundtrip(johnson_image(3), 3))
+        eye3 = IntMatrix.identity(3)
+        assert bool(intlinalg.verify_summand_transfer(eye3, eye3))
+        l1 = IntMatrix([[1, 0], [0, 1], [0, 0]])
+        res = intlinalg.verify_summand_transfer(l1, IntMatrix.diagonal([2, 2, 2]))
+        assert not res.composite_gives_summand and res.factor_gives_summand
+
+    def test_image_rows_match_the_row_convention(self):
+        v = johnson_image(3)
+        for _, act in generator_actions(3):
+            assert (act @ v.transpose()).transpose() == v @ act.transpose()
+
     def test_non_summand_reported(self):
         doubled = IntMatrix([[2 * x for x in row] for row in johnson_image(3).entries])
         rep = summand_correspondence_roundtrip(doubled, 3)
