@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from typing import Iterable
 
 from . import intlinalg
@@ -280,8 +281,10 @@ def hilbert_dimension(genus: int, degree: int) -> int:
 def center_in_degree_assoc(genus: int, degree: int) -> list[NcPoly]:
     """Basis of degree-d elements commuting with every generator.
 
-    Exact integer kernel, restricted generator by generator; empty for
-    d >= 1 is the degreewise shadow of the quotient having scalar center.
+    Each letter x gives one map into degree d+1, w -> w*x - x*w on the
+    reduced words, and the basis is their common integer left kernel; the
+    maps are built one at a time and stop once the kernel is empty.  Empty
+    for d >= 1 is the degreewise shadow of the quotient having scalar center.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -291,12 +294,11 @@ def center_in_degree_assoc(genus: int, degree: int) -> list[NcPoly]:
             f"center system at genus {genus}, degree {degree} is beyond desk scale"
         )
     basis = alg.reduced_words(degree)
-    combos: list[dict] = [{i: 1} for i in range(len(basis))]
-    for letter in range(alg.n_letters):
-        if not combos:
-            break
+    index = alg.word_index(degree + 1)
+
+    def commutator_map(letter: int) -> list[dict]:
         gen = {(letter,): 1}
-        images = []
+        rows = []
         for w in basis:
             img = alg.mul_raw({w: 1}, gen)
             for ww, cc in alg.mul_raw(gen, {w: 1}).items():
@@ -305,40 +307,11 @@ def center_in_degree_assoc(genus: int, degree: int) -> list[NcPoly]:
                     img[ww] = val
                 else:
                     del img[ww]
-            images.append(img)
-        index = alg.word_index(degree + 1)
-        rows = []
-        for combo in combos:
-            row: dict = {}
-            for i, c in combo.items():
-                for ww, cc in images[i].items():
-                    col = index[ww]
-                    val = row.get(col, 0) + c * cc
-                    if val:
-                        row[col] = val
-                    else:
-                        del row[col]
-            rows.append(row)
-        knl = intlinalg.sparse_left_kernel(rows)
-        combos = [
-            _combine_combos(kvec, combos) for kvec in knl
-        ]
-    out = []
-    for combo in combos:
-        out.append(NcPoly(alg, {basis[i]: c for i, c in combo.items()}))
-    return out
+            rows.append({index[ww]: cc for ww, cc in img.items()})
+        return rows
 
-
-def _combine_combos(kvec: dict, combos: list[dict]) -> dict:
-    out: dict = {}
-    for idx, coeff in kvec.items():
-        for i, c in combos[idx].items():
-            val = out.get(i, 0) + coeff * c
-            if val:
-                out[i] = val
-            else:
-                del out[i]
-    return out
+    combos = intlinalg.common_left_kernel(len(basis), map(commutator_map, range(alg.n_letters)))
+    return [NcPoly(alg, {basis[i]: c for i, c in combo.items()}) for combo in combos]
 
 
 def series_product(rank_by_degree: dict, max_degree: int) -> list[int]:
@@ -347,16 +320,10 @@ def series_product(rank_by_degree: dict, max_degree: int) -> list[int]:
     for k, r in sorted(rank_by_degree.items()):
         if k > max_degree or r == 0:
             continue
-        # multiply by (1 - t^k)^(-r) = sum_j C(j + r - 1, r - 1) t^(jk)
+        # multiply by (1 - t^k)^(-r) = sum_j C(j + r - 1, j) t^(jk)
         factor = [0] * (max_degree + 1)
-        j = 0
-        while j * k <= max_degree:
-            num, den = 1, 1
-            for s in range(1, j + 1):
-                num *= r - 1 + s
-                den *= s
-            factor[j * k] = num // den
-            j += 1
+        for j in range(max_degree // k + 1):
+            factor[j * k] = comb(j + r - 1, j)
         new = [0] * (max_degree + 1)
         for i, ci in enumerate(coeffs):
             if ci == 0:

@@ -13,6 +13,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import CertificateError, ResourceLimitExceeded
+from .intlinalg import _int_row
 
 # degree-d components beyond this dimension are outside desk scale
 _DIMENSION_CAP = 50_000
@@ -187,12 +188,12 @@ class FreeLieAlgebra:
     def element(self, coords: dict) -> "LieElement":
         """Element from {word_or_HallWord: coeff}; words must be Lyndon."""
         flat = {}
-        for k, c in coords.items():
+        for k, c in zip(coords, _int_row(coords.values())):
             w = k.word if isinstance(k, HallWord) else tuple(k)
             if not is_lyndon(w):
                 raise ValueError(f"{w} is not a basis word")
             if c:
-                flat[w] = flat.get(w, 0) + int(c)
+                flat[w] = flat.get(w, 0) + c
         return LieElement(self, {w: c for w, c in flat.items() if c})
 
 

@@ -197,7 +197,9 @@ def _sparse(row: Sequence[int]) -> dict:
 
 def _int_row(row: Iterable) -> tuple[int, ...]:
     """row as an int tuple: strings are parsed by int(), and any other entry
-    that int() would change (a float with a fraction part) is refused."""
+    that int() would change (a float with a fraction part) is refused.
+
+    The one coercion rule for integer input across the package."""
     row = tuple(row)
     out = tuple(map(int, row))
     if out != row:
@@ -345,6 +347,26 @@ def sparse_right_kernel(rows: Sequence[dict], n_unknowns: int) -> list[dict]:
     return sparse_left_kernel(_transpose_rows(rows, n_unknowns))
 
 
+def common_left_kernel(n: int, maps: Iterable[Sequence[dict]]) -> list[dict]:
+    """Lattice basis, as dicts over range(n), of {x : x @ M == 0 for all M}.
+
+    Each M in maps is given by its rows, the sparse images of the n unit
+    vectors.  The basis B starts as the n unit vectors; each map replaces it
+    by K @ B, K a basis of the left kernel of B @ M.  Every x killed by the
+    maps seen so far is c @ B for an integer c, and c @ B @ M == 0 puts c in
+    the span of K, so B stays a basis of the common kernel: the same lattice
+    as the left kernel of all the maps stacked side by side.  maps is
+    consumed lazily: once the basis is empty, the maps after it are never
+    built.
+    """
+    basis = [{i: 1} for i in range(n)]
+    maps = iter(maps)
+    while basis and (rows := next(maps, None)) is not None:
+        images = [_combination(b, rows) for b in basis]
+        basis = [_combination(k, basis) for k in sparse_left_kernel(images)]
+    return basis
+
+
 # ---------------------------------------------------------------------------
 # Normal forms and lattices, all on top of sparse_echelon.
 
@@ -431,13 +453,7 @@ def row_span_contains(a: IntMatrix, vec: Sequence[int]) -> bool:
     if len(vec) != a.cols:
         raise DimensionMismatch("vector length differs from column count")
     pivots = _pivots(a)
-    v = {}
-    for j, x in enumerate(vec):
-        n = int(x)
-        if n != x and not isinstance(x, str):
-            raise ValueError(f"entry {x!r} is not an integer")
-        if n:
-            v[j] = n
+    v = _sparse(_int_row(vec))
     while v:
         c = min(v)
         entry = pivots.get(c)

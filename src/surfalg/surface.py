@@ -71,7 +71,7 @@ class SurfaceAlgebra:
     def reduce_free_vector(self, d: int, vec: Sequence[int]) -> list[int]:
         """Subtract ideal rows until only quotient-basis columns survive."""
         data = self.degree_data(d)
-        v = [int(x) for x in vec]
+        v = list(intlinalg._int_row(vec))
         ideal = data.ideal_basis.entries
         for row, c in zip(ideal, data.pivot_columns):
             q = v[c]  # pivot entries are 1, so the quotient is the entry
@@ -91,9 +91,9 @@ class SurfaceAlgebra:
         data = self.degree_data(d)
         words = self.free.basis_words(d)
         out = {}
-        for c, col in zip(coords, data.basis_columns):
+        for c, col in zip(intlinalg._int_row(coords), data.basis_columns):
             if c:
-                out[words[col]] = int(c)
+                out[words[col]] = c
         return LieElement(self.free, out)
 
     def basis_elements(self, d: int) -> list[LieElement]:
@@ -142,7 +142,7 @@ class GradedElement:
         for d, vec in coords.items():
             if not 1 <= d <= algebra.max_degree:
                 raise ValueError(f"degree {d} outside 1..{algebra.max_degree}")
-            tup = tuple(int(x) for x in vec)
+            tup = intlinalg._int_row(vec)
             if len(tup) != algebra.rank(d):
                 raise ValueError(f"degree-{d} coordinates have wrong length")
             if any(tup):
@@ -253,29 +253,23 @@ def center_in_degree(alg: SurfaceAlgebra, d: int) -> list[GradedElement]:
     """Basis of the degree-d elements whose bracket with every generator dies.
 
     Degree-1 elements generate the quotient, so an element centralizing them
-    is central; the system is the exact integer kernel of the stacked bracket
-    matrices into degree d+1.
+    is central.  Each generator gives one map into degree d+1, x -> [x, gen]
+    in quotient coordinates, and the basis is their common integer left
+    kernel.  The maps are built one at a time, so once the kernel is empty
+    the brackets with the remaining generators are never projected.
     """
     if d + 1 > alg.max_degree:
         raise ValueError(f"need degree {d + 1} <= built degree {alg.max_degree}")
-    rd = alg.rank(d)
-    if rd == 0:
-        return []
-    r_next = alg.rank(d + 1)
-    gens = [alg.free.generator(i) for i in range(2 * alg.genus)]
-    rows = []
-    for elem in alg.basis_elements(d):
-        row: dict[int, int] = {}
-        for i, gen in enumerate(gens):
-            coords = alg.project(elem.bracket(gen), d + 1)
-            for j, c in enumerate(coords):
-                if c:
-                    row[i * r_next + j] = c
-        rows.append(row)
-    combos = intlinalg.sparse_left_kernel(rows)
+    basis = alg.basis_elements(d)
+
+    def bracket_map(i: int) -> list[dict]:
+        gen = alg.free.generator(i)
+        return [intlinalg._sparse(alg.project(elem.bracket(gen), d + 1)) for elem in basis]
+
+    combos = intlinalg.common_left_kernel(len(basis), map(bracket_map, range(2 * alg.genus)))
     out = []
     for combo in combos:
-        vec = [0] * rd
+        vec = [0] * len(basis)
         for i, c in combo.items():
             vec[i] = c
         out.append(GradedElement(alg, {d: vec}))

@@ -94,7 +94,7 @@ class ExtVector:
     __slots__ = ("space", "coords")
 
     def __init__(self, space: SymplecticSpace, coords: Iterable[int]):
-        tup = tuple(int(x) for x in coords)
+        tup = intlinalg._int_row(coords)
         n = len(space.triples())
         if len(tup) != n:
             raise ValueError(f"expected {n} coordinates, got {len(tup)}")
@@ -289,7 +289,7 @@ def contraction_matrix(space: SymplecticSpace) -> IntMatrix:
 def contraction(v: ExtVector | Sequence[int], space: SymplecticSpace) -> tuple[int, ...]:
     """Contraction of an exterior-cube vector down to H; linear and
     equivariant for the symplectic action."""
-    coords = v.coords if isinstance(v, ExtVector) else tuple(int(x) for x in v)
+    coords = v.coords if isinstance(v, ExtVector) else intlinalg._int_row(v)
     c = contraction_matrix(space)
     out = [0] * space.dim
     for r in range(space.dim):
@@ -339,25 +339,28 @@ def johnson_image(g: int) -> IntMatrix:
     return IntMatrix(rows, cols=len(space.triples()))
 
 
-def _commutation_rows(action: IntMatrix):
-    """Sparse equations A X - X A = 0 over the flattened unknown X."""
+def _commutator_images(action: IntMatrix) -> list[dict]:
+    """Images of the unit matrices E_kc under X -> A X - X A, A the action.
+
+    A E_kc puts column k of A into column c and E_kc A puts row c of A into
+    row k; matrices are flattened row by row, entry (r, c) to r * n + c.
+    """
     n = action.rows
     ent = action.entries
-    a_rows = [{k: ent[r][k] for k in range(n) if ent[r][k]} for r in range(n)]
-    a_cols = [{k: ent[k][c] for k in range(n) if ent[k][c]} for c in range(n)]
-    for r in range(n):
+    a_rows = [intlinalg._sparse(row) for row in ent]
+    a_cols = [intlinalg._sparse(col) for col in zip(*ent)]
+    images = []
+    for k in range(n):
         for c in range(n):
-            eq: dict = {}
-            for k, v in a_rows[r].items():
-                eq[k * n + c] = eq.get(k * n + c, 0) + v
-            for k, v in a_cols[c].items():
-                val = eq.get(r * n + k, 0) - v
+            img = {r * n + c: x for r, x in a_cols[k].items()}
+            for j, x in a_rows[c].items():
+                val = img.get(k * n + j, 0) - x
                 if val:
-                    eq[r * n + k] = val
+                    img[k * n + j] = val
                 else:
-                    eq.pop(r * n + k, None)
-            if eq:
-                yield eq
+                    img.pop(k * n + j, None)
+            images.append(img)
+    return images
 
 
 def commutant_dimension(g: int) -> int:
@@ -365,9 +368,10 @@ def commutant_dimension(g: int) -> int:
 
     The value 2 certifies exactly two irreducible summands of distinct
     dimensions (2g and C(2g,3) - 2g), hence exactly one invariant subspace of
-    dimension 2g: any other would force extra commuting projections.
-    Generators restrict the solution space one at a time, so the system
-    shrinks quickly after the first one.
+    dimension 2g: any other would force extra commuting projections.  The
+    commutant is the common integer left kernel, over the n*n entries of X,
+    of the maps X -> A X - X A for the generator actions A; each restriction
+    leaves a small basis, so the later maps act on few vectors.
     """
     if g < 3:
         raise ValueError("the uniqueness certificate is stated for genus >= 3")
@@ -376,48 +380,8 @@ def commutant_dimension(g: int) -> int:
         raise ResourceLimitExceeded(
             f"commutant system with {n * n} unknowns is beyond desk scale"
         )
-    basis: list[dict] | None = None  # vectors over the n*n unknowns
-    for _, action in generator_actions(g):
-        rows = []
-        if basis is None:
-            rows = list(_commutation_rows(action))
-            width = n * n
-        else:
-            by_unknown: dict[int, dict] = {}
-            for j, vec in enumerate(basis):
-                for i, v in vec.items():
-                    by_unknown.setdefault(i, {})[j] = v
-            for eq in _commutation_rows(action):
-                row: dict = {}
-                for i, a in eq.items():
-                    for j, b in by_unknown.get(i, {}).items():
-                        val = row.get(j, 0) + a * b
-                        if val:
-                            row[j] = val
-                        else:
-                            del row[j]
-                if row:
-                    rows.append(row)
-            width = len(basis)
-        combos = intlinalg.sparse_right_kernel(rows, width)
-        if not combos:
-            return 0
-        if basis is None:
-            basis = combos
-        else:
-            new_basis = []
-            for combo in combos:
-                vec: dict = {}
-                for j, c in combo.items():
-                    for i, v in basis[j].items():
-                        val = vec.get(i, 0) + c * v
-                        if val:
-                            vec[i] = val
-                        else:
-                            del vec[i]
-                new_basis.append(vec)
-            basis = new_basis
-    return 0 if basis is None else len(basis)
+    maps = (_commutator_images(action) for _, action in generator_actions(g))
+    return len(intlinalg.common_left_kernel(n * n, maps))
 
 
 def h_projector(space: SymplecticSpace) -> IntMatrix:

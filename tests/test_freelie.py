@@ -79,6 +79,12 @@ class TestHallBasis:
         assert index == {w: i for i, w in enumerate(alg.basis_words(d))}
         assert alg.word_index(d) is index
 
+    def test_non_integral_coefficients_refused(self):
+        alg = free_lie_algebra(2)
+        with pytest.raises(ValueError, match="not an integer"):
+            alg.element({(0,): 2.7})
+        assert alg.element({(0,): "2", (1,): 3.0}) == alg.element({(0,): 2, (1,): 3})
+
     def test_degree_is_leaf_count(self):
         for hw in hall_basis(3, 4):
             def leaves(t):

@@ -18,6 +18,7 @@ from surfalg.intlinalg import (
     FgAbGroup,
     IntMatrix,
     cokernel,
+    common_left_kernel,
     hermite_with_transform,
     is_direct_summand,
     kernel,
@@ -656,3 +657,94 @@ class TestNonIntegralInput:
             row_span_contains(a, [2, 0.25])
         assert row_span_contains(a, [4.0, "0"])
         assert not row_span_contains(a, ["3", 0])
+
+
+# n unknowns, then up to four maps, each given by n image rows of width 1-3;
+# zero entries and zero rows are common, so kernels of every size turn up
+common_kernel_cases = st.integers(0, 5).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.integers(1, 3).flatmap(
+                lambda w: st.lists(
+                    st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3]), min_size=w, max_size=w),
+                    min_size=n,
+                    max_size=n,
+                )
+            ),
+            max_size=4,
+        ),
+    )
+)
+
+
+def _sparse_map(dense_rows):
+    return [{j: x for j, x in enumerate(r) if x} for r in dense_rows]
+
+
+def _stacked_left_kernel(n, maps):
+    """Reference: one left kernel of every map's rows set side by side."""
+    stacked = [{} for _ in range(n)]
+    for k, rows in enumerate(maps):
+        for i, row in enumerate(rows):
+            for j, x in row.items():
+                stacked[i][4 * k + j] = x  # every map here has at most 3 columns
+    return sparse_left_kernel(stacked)
+
+
+def _lattice(n, basis):
+    return row_span_hnf(IntMatrix([[b.get(i, 0) for i in range(n)] for b in basis], cols=n))
+
+
+def _check_common_kernel(n, maps):
+    basis = common_left_kernel(n, maps)
+    for rows in maps:
+        for b in basis:
+            assert intlinalg._combination(b, rows) == {}
+    stacked = _stacked_left_kernel(n, maps)
+    assert len(basis) == len(stacked)
+    assert _lattice(n, basis) == _lattice(n, stacked)
+    return basis
+
+
+class TestCommonLeftKernel:
+    """Restricting map by map spans the lattice of the stacked left kernel."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(common_kernel_cases)
+    def test_matches_the_stacked_left_kernel(self, case):
+        n, maps = case
+        _check_common_kernel(n, [_sparse_map(m) for m in maps])
+
+    def test_nonzero_kernels_after_several_maps(self):
+        rng = random.Random(11)
+        seen = {"empty": 0, "nonzero after 2+ maps": 0}
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            maps = []
+            for _ in range(rng.randint(2, 4)):
+                w = rng.randint(1, 2)
+                maps.append(_sparse_map([[rng.choice([0, 0, 0, 1, -1, 2]) for _ in range(w)] for _ in range(n)]))
+            basis = _check_common_kernel(n, maps)
+            seen["nonzero after 2+ maps" if basis else "empty"] += 1
+        assert min(seen.values()) >= 50, seen
+
+    def test_edge_cases(self):
+        # no maps: the unit vectors; n = 0: the empty basis; zero rows stay free
+        assert common_left_kernel(3, []) == [{0: 1}, {1: 1}, {2: 1}]
+        assert common_left_kernel(0, [[], []]) == []
+        assert common_left_kernel(2, [[{}, {}]]) == [{0: 1}, {1: 1}]
+        assert common_left_kernel(2, [[{0: 1}, {}], [{0: 2}, {0: 5}]]) == []
+        # 2 x0 + 3 x1 == 0, then x2 == 0: the second map acts on K @ B, not on K
+        basis = common_left_kernel(3, [[{0: 2}, {0: 3}, {}], [{}, {}, {0: 1}]])
+        assert _lattice(3, basis) == IntMatrix([[3, -2, 0]])
+
+    def test_maps_after_an_empty_basis_are_never_built(self):
+        def maps(*built):
+            yield from built
+            raise AssertionError("a map after the basis emptied was built")
+
+        assert common_left_kernel(0, maps()) == []
+        assert common_left_kernel(2, maps([{0: 1}, {1: 1}])) == []
+        # the first map leaves a kernel, the second empties it
+        assert common_left_kernel(2, maps([{0: 1}, {0: -1}], [{0: 1}, {}])) == []

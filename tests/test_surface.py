@@ -215,3 +215,20 @@ def test_graded_element_validation(alg_g2):
     e = GradedElement(alg_g2, {1: [1, 0, 0, 0], 2: [0, 0, 0, 0, 0]})
     assert e.degrees() == (1,)
     assert e.component(2) == (0,) * 5
+
+
+class TestNonIntegralInput:
+    def test_graded_element(self, alg_g2):
+        with pytest.raises(ValueError, match="not an integer"):
+            GradedElement(alg_g2, {1: [1.5, 0, 0, 0]})
+        assert GradedElement(alg_g2, {1: ["1", 2.0, 0, 0]}).component(1) == (1, 2, 0, 0)
+
+    def test_reduce_free_vector(self, alg_g2):
+        with pytest.raises(ValueError, match="not an integer"):
+            alg_g2.reduce_free_vector(1, [1.5, 0, 0, 0])
+        assert alg_g2.reduce_free_vector(1, ["1", 2.0, 0, 0]) == [1, 2, 0, 0]
+
+    def test_lift(self, alg_g2):
+        with pytest.raises(ValueError, match="not an integer"):
+            alg_g2.lift(1, [1.5, 0, 0, 0])
+        assert alg_g2.lift(1, ["1", 2.0, 0, 0]) == alg_g2.lift(1, [1, 2, 0, 0])

@@ -271,6 +271,20 @@ def test_space_labels():
     assert space.pairing(0, 1) == 0
 
 
+class TestNonIntegralInput:
+    def test_ext_vector(self):
+        space = SymplecticSpace(2)
+        with pytest.raises(ValueError, match="not an integer"):
+            ExtVector(space, [1.5, 0, 0, 0])
+        assert ExtVector(space, ["2", 3.0, True, 0]).coords == (2, 3, 1, 0)
+
+    def test_contraction_of_a_plain_sequence(self):
+        space = SymplecticSpace(2)
+        with pytest.raises(ValueError, match="not an integer"):
+            contraction([1.5, 0, 0, 0], space)
+        assert contraction(["1", 0.0, 0, 0], space) == contraction(ExtVector.wedge(space, 0, 1, 2), space)
+
+
 def test_theta_section_shape():
     space = SymplecticSpace(3)
     s = theta_section_matrix(space)
