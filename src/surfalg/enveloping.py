@@ -121,7 +121,8 @@ class EnvelopingAlgebra:
         return {w: i for i, w in enumerate(self.reduced_words(degree))}
 
     def poly(self, terms: dict) -> "NcPoly":
-        return NcPoly(self, self.reduce_raw(terms))
+        """Reduced polynomial from {word: coeff}; coefficients must be integers."""
+        return NcPoly(self, self.reduce_raw(dict(zip(terms, intlinalg._int_row(terms.values())))))
 
     def letter(self, index: int) -> "NcPoly":
         if not 0 <= index < self.n_letters:

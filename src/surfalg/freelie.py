@@ -217,7 +217,7 @@ class HallWord:
     __slots__ = ("algebra", "word")
 
     def __init__(self, algebra: FreeLieAlgebra, word: Iterable[int]):
-        w = tuple(int(x) for x in word)
+        w = _int_row(word)
         if not all(0 <= x < algebra.n for x in w):
             raise ValueError(f"letters outside 0..{algebra.n - 1}")
         if not is_lyndon(w):

@@ -5,10 +5,11 @@ row-span saturation, and direct-summand certificates.  Coefficients are
 arbitrary-precision Python ints throughout.  A single elimination routine,
 `sparse_echelon`, does every reduction on rows stored as dicts
 {column: coefficient}; the normal forms, kernels and ranks are built on its
-output.  Every matrix value is immutable and every operation returns fresh
-results, so all functions here are safe to call concurrently.  A matrix
-caches two values, its sparse rows and its transform-free echelon; each is
-the same whoever fills it, and no caller may mutate either.
+output.  `IntMatrix` stores its rows in that same format; dense tuples are
+only a view built on request.  Every matrix value is immutable and every
+operation returns fresh results, so all functions here are safe to call
+concurrently.  A matrix caches its transform-free echelon; no caller may
+mutate it or the stored rows.
 """
 
 from __future__ import annotations
@@ -39,22 +40,22 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 class IntMatrix:
-    """Immutable exact integer matrix.
+    """Immutable exact integer matrix, stored as sparse rows.
 
     Dimensions are fixed at construction.  A matrix may have zero rows (an
     empty family of vectors in a known ambient space) but its column count
-    must then be given explicitly.  The public constructor coerces every
-    entry with int(), refuses any non-string entry that int() would change
-    (1.9, 2.5), and rejects ragged rows; `IntMatrix._of` skips all of it and
-    is only for tuple-of-int-tuple rows the engine built itself.  Each
-    instance memoizes two values the first time the engine needs them: its
-    rows as sparse dicts (`_sparse_rows`) and their transform-free
-    `sparse_echelon` (`_pivots`).  Since the entries never change, neither
-    memo goes stale, and a concurrent first fill only computes it twice.
-    Both are shared by every later caller, so no caller may mutate them.
+    must then be given explicitly.  Rows are stored as zero-free dicts
+    {column: coefficient} (`sparse_rows`), the engine's own format; `entries`,
+    `row` and indexing build dense tuples on each call.  The public
+    constructor coerces every entry with int(), refuses any non-string entry
+    that int() would change (1.9, 2.5), and rejects ragged rows;
+    `IntMatrix._of` skips all of it and is only for rows the package built.
+    The transform-free `sparse_echelon` (`_pivots`) is memoized on first
+    use; the rows never change, so it never goes stale.  Rows and memo are
+    shared by every reader, so no caller may mutate either.
     """
 
-    __slots__ = ("_data", "_rows", "_cols", "_sparse", "_echelon")
+    __slots__ = ("_sparse", "_cols", "_echelon")
 
     def __init__(self, rows: Iterable[Iterable[int]], cols: int | None = None):
         data = tuple(map(_int_row, rows))
@@ -68,30 +69,26 @@ class IntMatrix:
             cols = width
         elif cols is None:
             raise ValueError("a matrix with no rows needs an explicit column count")
-        self._data = data
-        self._rows = len(data)
+        self._sparse = tuple(map(_sparse, data))
         self._cols = cols
-        self._sparse = None
         self._echelon = None
 
     @classmethod
-    def _of(cls, data: tuple[tuple[int, ...], ...], cols: int) -> "IntMatrix":
-        """Wrap rows that are already int tuples of length cols, unchecked."""
+    def _of(cls, rows: Iterable[dict], cols: int) -> "IntMatrix":
+        """Wrap zero-free sparse rows with columns in range(cols), unchecked."""
         m = object.__new__(cls)
-        m._data = data
-        m._rows = len(data)
+        m._sparse = tuple(rows)
         m._cols = cols
-        m._sparse = None
         m._echelon = None
         return m
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+        return cls._of(({i: 1} for i in range(n)), n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
+        return cls._of(({} for _ in range(rows)), cols)
 
     @classmethod
     def diagonal(cls, values: Sequence[int]) -> "IntMatrix":
@@ -100,7 +97,7 @@ class IntMatrix:
 
     @property
     def rows(self) -> int:
-        return self._rows
+        return len(self._sparse)
 
     @property
     def cols(self) -> int:
@@ -108,41 +105,45 @@ class IntMatrix:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self._rows, self._cols
+        return len(self._sparse), self._cols
+
+    @property
+    def sparse_rows(self) -> tuple[dict, ...]:
+        """The stored rows, zero-free dicts {column: coefficient}: read only."""
+        return self._sparse
 
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
-        return self._data
+        """The dense rows, built from the sparse ones on each call."""
+        return tuple(_dense_row(r, self._cols) for r in self._sparse)
 
     def row(self, i: int) -> tuple[int, ...]:
-        return self._data[i]
+        return _dense_row(self._sparse[i], self._cols)
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         i, j = key
-        return self._data[i][j]
+        return self.row(i)[j]
 
     def transpose(self) -> "IntMatrix":
-        data = tuple(zip(*self._data)) if self._rows else ((),) * self._cols
-        return IntMatrix._of(data, self._rows)
+        return IntMatrix._of(_transpose_rows(self._sparse, self._cols), len(self._sparse))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        """Product computed row by row as combinations of other's sparse rows."""
-        if self._cols != other._rows:
+        """Product computed row by row as combinations of other's rows."""
+        if self._cols != len(other._sparse):
             raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
-        basis = _sparse_rows(other)
-        return _dense([_combination(r, basis) for r in _sparse_rows(self)], other._cols)
+        return IntMatrix._of((_combination(r, other._sparse) for r in self._sparse), other._cols)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, IntMatrix) and self._data == other._data and self._cols == other._cols
+        return isinstance(other, IntMatrix) and self._cols == other._cols and self._sparse == other._sparse
 
     def __hash__(self) -> int:
-        return hash((self._data, self._cols))
+        return hash((self.entries, self._cols))
 
     def __repr__(self) -> str:
-        return f"IntMatrix({list(map(list, self._data))!r})"
+        return f"IntMatrix({list(map(list, self.entries))!r})"
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self._data for x in r)
+        return not any(self._sparse)
 
 
 @dataclass(frozen=True)
@@ -195,6 +196,13 @@ def _sparse(row: Sequence[int]) -> dict:
     return {j: x for j, x in enumerate(row) if x}
 
 
+def _dense_row(row: dict, cols: int) -> tuple[int, ...]:
+    vec = [0] * cols
+    for j, x in row.items():
+        vec[j] = x
+    return tuple(vec)
+
+
 def _int_row(row: Iterable) -> tuple[int, ...]:
     """row as an int tuple: strings are parsed by int(), and any other entry
     that int() would change (a float with a fraction part) is refused.
@@ -209,14 +217,6 @@ def _int_row(row: Iterable) -> tuple[int, ...]:
     return out
 
 
-def _sparse_rows(a: IntMatrix) -> tuple[dict, ...]:
-    """a's rows as sparse dicts, memoized on a: read them, never mutate them."""
-    rows = a._sparse
-    if rows is None:
-        rows = a._sparse = tuple(_sparse(r) for r in a.entries)
-    return rows
-
-
 def _pivots(a: IntMatrix) -> dict:
     """a's transform-free `sparse_echelon` pivots, memoized on a: read only.
 
@@ -225,19 +225,8 @@ def _pivots(a: IntMatrix) -> dict:
     """
     pivots = a._echelon
     if pivots is None:
-        pivots = a._echelon = sparse_echelon(_sparse_rows(a))[0]
+        pivots = a._echelon = sparse_echelon(a._sparse)[0]
     return pivots
-
-
-def _dense(rows: Sequence[dict], cols: int) -> IntMatrix:
-    def expand(row):
-        vec = [0] * cols
-        for j, x in row.items():
-            vec[j] = x
-        return vec
-
-    # a generator, so only one expanded row is alive next to the tuples
-    return IntMatrix._of(tuple(tuple(expand(row)) for row in rows), cols)
 
 
 def _transpose_rows(rows: Sequence[dict], cols: int) -> list[dict]:
@@ -411,12 +400,10 @@ def hermite_with_transform(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     rank(a) on are a basis of the left kernel of a.
     """
     nrows, ncols = a.shape
-    if nrows == 0:
-        return a, IntMatrix.zeros(0, 0)
-    pivots, knl = sparse_echelon(_sparse_rows(a), want_kernel=True)
+    pivots, knl = sparse_echelon(a._sparse, want_kernel=True)
     h, u = _hermite_rows(pivots)
     h.extend({} for _ in knl)
-    return _dense(h, ncols), _dense(u + knl, nrows)
+    return IntMatrix._of(h, ncols), IntMatrix._of(u + knl, nrows)
 
 
 def row_span_hnf(a: IntMatrix) -> IntMatrix:
@@ -425,9 +412,9 @@ def row_span_hnf(a: IntMatrix) -> IntMatrix:
     The same rows as the nonzero rows of `hermite_with_transform`, built
     without the transform.
     """
-    pivots, _ = sparse_echelon(_sparse_rows(a))
+    pivots, _ = sparse_echelon(a._sparse)
     h, _ = _hermite_rows(pivots)
-    return _dense(h, a.cols)
+    return IntMatrix._of(h, a.cols)
 
 
 def rank(a: IntMatrix) -> int:
@@ -469,38 +456,38 @@ def row_span_contains(a: IntMatrix, vec: Sequence[int]) -> bool:
 
 def kernel(a: IntMatrix) -> IntMatrix:
     """Lattice basis (rows) of {x : a @ x == 0}, x a column vector."""
-    return _dense(sparse_right_kernel(_sparse_rows(a), a.cols), a.cols)
+    return IntMatrix._of(sparse_right_kernel(a._sparse, a.cols), a.cols)
 
 
 def left_kernel(a: IntMatrix) -> IntMatrix:
     """Lattice basis (rows) of {c : c @ a == 0}."""
-    return _dense(sparse_left_kernel(_sparse_rows(a)), a.rows)
+    return IntMatrix._of(sparse_left_kernel(a._sparse), a.rows)
 
 
 def _is_diagonal(m: IntMatrix) -> bool:
-    return not any(any(row[:i]) or any(row[i + 1 :]) for i, row in enumerate(m.entries))
+    return all(row.keys() <= {i} for i, row in enumerate(m._sparse))
 
 
 def _diagonalize(a: IntMatrix) -> tuple[list[int], list[dict], list[dict]]:
     """(diagonal, u rows, v-transpose rows) from alternating Hermite steps.
 
-    A function of its own so that the dense matrices of the last step are
-    freed before snf builds its result.
+    A function of its own so that the matrices of the last step are freed
+    before snf builds its result.
     """
     u = [{i: 1} for i in range(a.rows)]
     vt = [{j: 1} for j in range(a.cols)]
     m = a
     while True:
         m, step = hermite_with_transform(m)
-        u = [_combination(r, u) for r in _sparse_rows(step)]
+        u = [_combination(r, u) for r in step._sparse]
         if _is_diagonal(m):
             break
         m, step = hermite_with_transform(m.transpose())
-        vt = [_combination(r, vt) for r in _sparse_rows(step)]
+        vt = [_combination(r, vt) for r in step._sparse]
         m = m.transpose()
         if _is_diagonal(m):
             break
-    return [m[k, k] for k in range(min(a.shape))], u, vt
+    return [m._sparse[k].get(k, 0) for k in range(min(a.shape))], u, vt
 
 
 def snf(a: IntMatrix) -> SnfResult:
@@ -539,12 +526,11 @@ def snf(a: IntMatrix) -> SnfResult:
                     _combine(vt[i], -y * (q // g), vt[j], x * (p // g)),
                 )
     v = _transpose_rows(vt, ncols)
-    rows_a = _sparse_rows(a)
     for i, urow in enumerate(u):
         expect = {i: d[i]} if i < len(d) and d[i] else {}
-        if _combination(_combination(urow, rows_a), v) != expect:
+        if _combination(_combination(urow, a._sparse), v) != expect:
             raise CertificateError(f"snf postcondition violated: row {i} of u @ a @ v is not diagonal")
-    return SnfResult(tuple(d), _dense(u, nrows), _dense(v, ncols))
+    return SnfResult(tuple(d), IntMatrix._of(u, nrows), IntMatrix._of(v, ncols))
 
 
 def is_direct_summand(span_gens: IntMatrix, ambient_rank: int) -> bool:

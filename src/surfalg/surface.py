@@ -10,6 +10,7 @@ integer linear system [x, generators] = 0.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,11 +33,16 @@ def omega_element(g: int) -> LieElement:
 
 @dataclass(frozen=True)
 class DegreeData:
-    """Per-degree quotient data, all in free Lie basis coordinates."""
+    """Per-degree quotient data, all in free Lie basis coordinates.
 
-    ideal_basis: IntMatrix             # Hermite basis of the ideal component
-    pivot_columns: tuple[int, ...]     # leading columns, all pivots are 1
+    Vectors are sparse dicts {column: coefficient} over the degree's basis
+    words; the two dicts are shared by every reader and never mutated.
+    """
+
+    ideal_basis: IntMatrix             # Hermite basis of the ideal component, sparse rows
+    pivot_rows: dict[int, dict]        # leading column -> its ideal row (pivot 1), increasing
     basis_columns: tuple[int, ...]     # complementary columns = quotient basis
+    basis_index: dict[int, int]        # quotient-basis column -> quotient coordinate
     rank: int
 
 
@@ -68,33 +74,60 @@ class SurfaceAlgebra:
 
     # -- coordinates ---------------------------------------------------------
 
+    def _reduce(self, d: int, v: dict) -> dict:
+        """Subtract unit-pivot ideal rows from the sparse v, in place, until
+        only quotient-basis columns survive.  Pivot columns are cleared in
+        increasing order; a row adds entries only right of its pivot, so no
+        cleared column comes back."""
+        pivot_rows = self.degree_data(d).pivot_rows
+        todo = [c for c in v if c in pivot_rows]
+        heapq.heapify(todo)
+        while todo:
+            c = heapq.heappop(todo)
+            q = v.get(c)
+            if not q:
+                continue  # a column pushed twice, or cancelled on the way
+            for j, x in pivot_rows[c].items():
+                new = v.get(j, 0) - q * x
+                if not new:
+                    del v[j]
+                    continue
+                if j not in v and j in pivot_rows:
+                    heapq.heappush(todo, j)
+                v[j] = new
+        return v
+
+    def _free_coords(self, elem: LieElement, d: int) -> dict:
+        index = self.free.word_index(d)
+        return {index[w]: c for w, c in elem.homogeneous_component(d).items()}
+
     def reduce_free_vector(self, d: int, vec: Sequence[int]) -> list[int]:
         """Subtract ideal rows until only quotient-basis columns survive."""
         data = self.degree_data(d)
-        v = list(intlinalg._int_row(vec))
-        ideal = data.ideal_basis.entries
-        for row, c in zip(ideal, data.pivot_columns):
-            q = v[c]  # pivot entries are 1, so the quotient is the entry
-            if q:
-                for j in range(c, len(v)):
-                    v[j] -= q * row[j]
-        return v
+        vec = intlinalg._int_row(vec)
+        width = data.ideal_basis.cols
+        if len(vec) != width:
+            raise intlinalg.DimensionMismatch(f"degree-{d} free vectors have {width} entries, not {len(vec)}")
+        return list(intlinalg._dense_row(self._reduce(d, intlinalg._sparse(vec)), width))
+
+    def _project_sparse(self, elem: LieElement, d: int) -> dict:
+        """Quotient coordinates of the degree-d component, as {index: coeff}."""
+        basis_index = self.degree_data(d).basis_index
+        reduced = self._reduce(d, self._free_coords(elem, d))
+        return {basis_index[j]: x for j, x in reduced.items()}
 
     def project(self, elem: LieElement, d: int) -> tuple[int, ...]:
         """Coordinates of the degree-d component in the quotient basis."""
-        data = self.degree_data(d)
-        reduced = self.reduce_free_vector(d, self._free_vector(elem, d))
-        return tuple(reduced[c] for c in data.basis_columns)
+        return intlinalg._dense_row(self._project_sparse(elem, d), self.rank(d))
 
     def lift(self, d: int, coords: Sequence[int]) -> LieElement:
         """Canonical free-Lie representative of quotient coordinates."""
         data = self.degree_data(d)
+        coords = intlinalg._int_row(coords)
+        if len(coords) != data.rank:
+            raise intlinalg.DimensionMismatch(f"degree {d} has rank {data.rank}, not {len(coords)}")
         words = self.free.basis_words(d)
-        out = {}
-        for c, col in zip(intlinalg._int_row(coords), data.basis_columns):
-            if c:
-                out[words[col]] = c
-        return LieElement(self.free, out)
+        return LieElement(self.free, {words[col]: c for c, col in zip(coords, data.basis_columns)})
 
     def basis_elements(self, d: int) -> list[LieElement]:
         words = self.free.basis_words(d)
@@ -105,23 +138,13 @@ class SurfaceAlgebra:
 
     def ideal_elements(self, d: int) -> list[LieElement]:
         words = self.free.basis_words(d)
-        out = []
-        for row in self.degree_data(d).ideal_basis.entries:
-            out.append(
-                LieElement(self.free, {words[j]: c for j, c in enumerate(row) if c})
-            )
-        return out
+        return [
+            LieElement(self.free, {words[j]: c for j, c in row.items()})
+            for row in self.degree_data(d).pivot_rows.values()
+        ]
 
     def contains_in_ideal(self, elem: LieElement, d: int) -> bool:
-        reduced = self.reduce_free_vector(d, self._free_vector(elem, d))
-        return all(x == 0 for x in reduced)
-
-    def _free_vector(self, elem: LieElement, d: int) -> list[int]:
-        index = self.free.word_index(d)
-        vec = [0] * len(index)
-        for w, c in elem.homogeneous_component(d).items():
-            vec[index[w]] = c
-        return vec
+        return not self._reduce(d, self._free_coords(elem, d))
 
     # -- graded bracket ------------------------------------------------------
 
@@ -193,8 +216,9 @@ def build(g: int, K: int) -> SurfaceAlgebra:
     n1 = len(fl.basis_words(1))
     degrees[1] = DegreeData(
         ideal_basis=IntMatrix.zeros(0, n1),
-        pivot_columns=(),
+        pivot_rows={},
         basis_columns=tuple(range(n1)),
+        basis_index={j: j for j in range(n1)},
         rank=n1,
     )
     if K >= 2:
@@ -203,13 +227,7 @@ def build(g: int, K: int) -> SurfaceAlgebra:
         for d in range(2, K + 1):
             words = fl.basis_words(d)
             index = fl.word_index(d)
-            rows = []
-            for elem in current:
-                vec = [0] * len(words)
-                for w, c in elem.items():
-                    vec[index[w]] = c
-                rows.append(vec)
-            span = IntMatrix(rows, cols=len(words))
+            span = IntMatrix._of(({index[w]: c for w, c in elem.items()} for elem in current), len(words))
             ideal = intlinalg.row_span_hnf(span)
             # degreewise freeness: the quotient by this component is
             # torsion-free exactly when all invariant factors are 1
@@ -219,26 +237,26 @@ def build(g: int, K: int) -> SurfaceAlgebra:
                     raise CertificateError(
                         f"degree-{d} quotient is not free: invariant factors {factors}"
                     )
-            pivots = []
-            for row in ideal.entries:
-                c = next(j for j, x in enumerate(row) if x != 0)
+            pivot_rows = {}
+            for row in ideal.sparse_rows:
+                c = min(row)
                 if row[c] != 1:
                     raise CertificateError(
                         f"degree-{d} ideal basis has a non-unit pivot at column {c}"
                     )
-                pivots.append(c)
-            pivot_set = set(pivots)
-            basis_cols = tuple(j for j in range(len(words)) if j not in pivot_set)
+                pivot_rows[c] = row
+            basis_cols = tuple(j for j in range(len(words)) if j not in pivot_rows)
             degrees[d] = DegreeData(
                 ideal_basis=ideal,
-                pivot_columns=tuple(pivots),
+                pivot_rows=pivot_rows,
                 basis_columns=basis_cols,
+                basis_index={j: i for i, j in enumerate(basis_cols)},
                 rank=len(basis_cols),
             )
             if d < K:
                 ideal_elems = [
-                    LieElement(fl, {words[j]: c for j, c in enumerate(row) if c})
-                    for row in ideal.entries
+                    LieElement(fl, {words[j]: c for j, c in row.items()})
+                    for row in ideal.sparse_rows
                 ]
                 current = [e.bracket(x) for e in ideal_elems for x in generators]
     return SurfaceAlgebra(g, K, degrees)
@@ -264,16 +282,10 @@ def center_in_degree(alg: SurfaceAlgebra, d: int) -> list[GradedElement]:
 
     def bracket_map(i: int) -> list[dict]:
         gen = alg.free.generator(i)
-        return [intlinalg._sparse(alg.project(elem.bracket(gen), d + 1)) for elem in basis]
+        return [alg._project_sparse(elem.bracket(gen), d + 1) for elem in basis]
 
     combos = intlinalg.common_left_kernel(len(basis), map(bracket_map, range(2 * alg.genus)))
-    out = []
-    for combo in combos:
-        vec = [0] * len(basis)
-        for i, c in combo.items():
-            vec[i] = c
-        out.append(GradedElement(alg, {d: vec}))
-    return out
+    return [GradedElement(alg, {d: intlinalg._dense_row(combo, len(basis))}) for combo in combos]
 
 
 @dataclass(frozen=True)

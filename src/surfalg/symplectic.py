@@ -346,9 +346,8 @@ def _commutator_images(action: IntMatrix) -> list[dict]:
     row k; matrices are flattened row by row, entry (r, c) to r * n + c.
     """
     n = action.rows
-    ent = action.entries
-    a_rows = [intlinalg._sparse(row) for row in ent]
-    a_cols = [intlinalg._sparse(col) for col in zip(*ent)]
+    a_rows = action.sparse_rows
+    a_cols = action.transpose().sparse_rows
     images = []
     for k in range(n):
         for c in range(n):
@@ -419,8 +418,7 @@ def summand_correspondence_roundtrip(v: IntMatrix, g: int) -> RoundtripReport:
     invariant = True
     vt = v.transpose()
     for _, act in generator_actions(g):
-        # row vectors transform by the transpose: v @ act.T == (act @ v.T).T,
-        # and the cached action keeps its sparse rows from call to call
+        # row vectors transform by the transpose: v @ act.T == (act @ v.T).T
         image = (act @ vt).transpose()
         for row in image.entries:
             if not intlinalg.row_span_contains(v, row):

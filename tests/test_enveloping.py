@@ -199,3 +199,14 @@ def test_poly_repr_and_coefficient():
     assert p.coefficient((0, 1)) == 2
     assert p.coefficient(()) == -1
     assert "a1*b1" in repr(p)
+
+
+def test_non_integral_coefficients_refused():
+    alg = enveloping_algebra(2)
+    with pytest.raises(ValueError, match="not an integer"):
+        alg.poly({(0, 1): 1.5})
+    with pytest.raises(ValueError, match="not an integer"):
+        alg.poly({(0,): 1, (1, 0): -0.25})
+    p = alg.poly({(0, 1): 2.0, (1, 0): "3"})
+    assert p == alg.poly({(0, 1): 2, (1, 0): 3})
+    assert all(type(c) is int for _, c in p.items())

@@ -85,6 +85,15 @@ class TestHallBasis:
             alg.element({(0,): 2.7})
         assert alg.element({(0,): "2", (1,): 3.0}) == alg.element({(0,): 2, (1,): 3})
 
+    def test_non_integral_letters_refused(self):
+        alg = free_lie_algebra(2)
+        with pytest.raises(ValueError, match="not an integer"):
+            HallWord(alg, [0, 1.5])
+        with pytest.raises(ValueError, match="not an integer"):
+            HallWord(alg, [0.5, 1])
+        assert HallWord(alg, ["0", 1.0]).word == (0, 1)
+        assert all(type(x) is int for x in HallWord(alg, [0, 1.0]).word)
+
     def test_degree_is_leaf_count(self):
         for hw in hall_basis(3, 4):
             def leaves(t):

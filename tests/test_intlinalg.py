@@ -483,6 +483,15 @@ class TestRowSpanMembership:
         assert row_span_hnf(a) == IntMatrix([r for r in h.entries if any(r)], cols=a.cols)
 
 
+def _stored_rows_are_canonical(m):
+    """m stores a tuple of zero-free dicts, one per row, inside range(cols)."""
+    assert type(m.sparse_rows) is tuple and len(m.sparse_rows) == m.rows
+    for row in m.sparse_rows:
+        assert type(row) is dict
+        assert all(type(j) is int and 0 <= j < m.cols for j in row)
+        assert all(type(x) is int and x != 0 for x in row.values())
+
+
 class TestTrustedConstruction:
     @settings(max_examples=100, deadline=None)
     @given(small_matrices, small_matrices)
@@ -496,9 +505,11 @@ class TestTrustedConstruction:
                 for i in range(a.rows)
             ]
             assert a @ b == IntMatrix(product, cols=b.cols)
-        dense = intlinalg._dense(intlinalg._sparse_rows(a), a.cols)
-        assert dense == a
-        for m in (t, a @ t, dense):
+        h, u = hermite_with_transform(a)
+        wrapped = IntMatrix._of(a.sparse_rows, a.cols)
+        assert wrapped == a and hash(wrapped) == hash(a)
+        for m in (a, t, a @ t, h, u, row_span_hnf(a), kernel(a), left_kernel(a), snf(a).u, snf(a).v):
+            _stored_rows_are_canonical(m)
             assert type(m.entries) is tuple
             assert all(type(r) is tuple and len(r) == m.cols for r in m.entries)
             assert all(type(x) is int for r in m.entries for x in r)
@@ -506,7 +517,8 @@ class TestTrustedConstruction:
     def test_empty_shapes(self):
         assert IntMatrix.zeros(0, 3).transpose() == IntMatrix.zeros(3, 0)
         assert IntMatrix.zeros(3, 0).transpose() == IntMatrix.zeros(0, 3)
-        assert intlinalg._dense([], 4) == IntMatrix.zeros(0, 4)
+        assert IntMatrix._of([], 4) == IntMatrix.zeros(0, 4)
+        assert IntMatrix._of([], 4) != IntMatrix.zeros(0, 3)
 
     def test_public_constructor_still_validates(self):
         with pytest.raises(ValueError, match="ragged"):
@@ -518,6 +530,85 @@ class TestTrustedConstruction:
         m = IntMatrix([[True, 2.0], ["3", 4]])
         assert m.entries == ((1, 2), (3, 4))
         assert all(type(x) is int for r in m.entries for x in r)
+        _stored_rows_are_canonical(m)
+        assert m.sparse_rows == ({0: 1, 1: 2}, {0: 3, 1: 4})
+        _stored_rows_are_canonical(IntMatrix([[0, 0], [0, 5]]))
+
+
+# rows and columns 0-4 with mostly zero entries, given as dense lists; a
+# second matrix, often equal to the first, and a right factor of matching size
+dense_cases = st.integers(0, 4).flatmap(
+    lambda r: st.integers(0, 4).flatmap(
+        lambda c: st.tuples(
+            st.just(c),
+            st.lists(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -7]), min_size=c, max_size=c), min_size=r, max_size=r),
+            st.one_of(
+                st.none(),
+                st.lists(st.lists(st.sampled_from([0, 0, 1, -3]), min_size=c, max_size=c), min_size=r, max_size=r),
+            ),
+            st.integers(0, 3).flatmap(
+                lambda k: st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k), min_size=c, max_size=c)
+            ),
+        )
+    )
+)
+
+
+class TestSparseStorageMatchesDenseOracles:
+    """Every dense read of a sparse-stored matrix agrees with tuple arithmetic."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(dense_cases)
+    def test_views_and_operations(self, case):
+        cols, rows, other, right = case
+        dense = tuple(map(tuple, rows))
+        a = IntMatrix(rows, cols=cols)
+        assert a.shape == (len(rows), cols)
+        assert a.entries == dense
+        assert a.sparse_rows == tuple({j: x for j, x in enumerate(r) if x} for r in dense)
+        assert a.is_zero() == all(x == 0 for r in dense for x in r)
+        for i in range(-len(dense), len(dense)):
+            assert a.row(i) == dense[i]
+            for j in range(-cols, cols):
+                assert a[i, j] == dense[i][j]
+            with pytest.raises(IndexError):
+                a[i, cols]
+        with pytest.raises(IndexError):
+            a.row(len(dense))
+        with pytest.raises(IndexError):
+            a[len(dense), 0]
+        # transpose: every column as a row, also for zero rows or columns
+        t = a.transpose()
+        assert t.shape == (cols, len(dense))
+        assert t.entries == tuple(tuple(r[j] for r in dense) for j in range(cols))
+        assert t.transpose() == a
+        # product with a cols x k factor
+        k = len(right[0]) if right else 0
+        b = IntMatrix(right, cols=k)
+        expect = tuple(
+            tuple(sum(r[m] * right[m][j] for m in range(cols)) for j in range(k)) for r in dense
+        )
+        assert (a @ b).entries == expect
+        # equality and hash follow the dense rows and the column count
+        twin = IntMatrix(other if other is not None else rows, cols=cols)
+        same = tuple(map(tuple, other)) == dense if other is not None else True
+        assert (a == twin) == same
+        if same:
+            assert hash(a) == hash(twin)
+        assert a != IntMatrix.zeros(len(dense), cols + 1)
+        assert (a == IntMatrix.zeros(len(dense), cols)) == a.is_zero()
+
+    def test_identity_zeros_and_diagonal(self):
+        for n in range(4):
+            eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+            assert IntMatrix.identity(n).entries == eye
+            assert IntMatrix.identity(n) == IntMatrix([list(r) for r in eye], cols=n)
+            assert IntMatrix.zeros(n, 2).entries == ((0, 0),) * n
+            assert IntMatrix.zeros(2, n).entries == ((0,) * n,) * 2
+            assert IntMatrix.zeros(n, 2).is_zero()
+        assert IntMatrix.diagonal([2, 0, -1]).entries == ((2, 0, 0), (0, 0, 0), (0, 0, -1))
+        assert not IntMatrix.identity(1).is_zero()
+        assert repr(IntMatrix([[1, 0], [0, 3]])) == "IntMatrix([[1, 0], [0, 3]])"
 
 
 def _summand_oracles(a):
@@ -596,7 +687,7 @@ def _fresh_sparse(a):
 
 
 class TestMemoizedViews:
-    """The cached sparse rows and echelon survive every engine operation."""
+    """The stored sparse rows and the cached echelon survive every operation."""
 
     @staticmethod
     def _ops(a):
@@ -616,6 +707,7 @@ class TestMemoizedViews:
             "same_row_span": lambda: same_row_span(a, a),
             "left_product": lambda: a @ b,
             "right_product": lambda: b @ a,
+            "transpose": lambda: a.transpose().transpose(),
             "transfer": lambda: tuple(verify_summand_transfer(b, a)),
         }
 
@@ -623,9 +715,10 @@ class TestMemoizedViews:
     @given(small_matrices)
     def test_every_operation_leaves_the_memos_intact(self, a):
         fresh = _fresh_sparse(a)
+        stored = [dict(r) for r in a.sparse_rows]
         for name, op in self._ops(a).items():
             first = op()
-            assert intlinalg._sparse_rows(a) == fresh, name
+            assert list(a.sparse_rows) == stored, name
             pivots = intlinalg._pivots(a)
             expected, _ = intlinalg.sparse_echelon(fresh)
             assert pivots == expected, name
@@ -634,10 +727,10 @@ class TestMemoizedViews:
 
     def test_memos_are_filled_once(self):
         a = IntMatrix([[2, 4, 0], [0, 3, 6], [2, 7, 6]])
-        rows = intlinalg._sparse_rows(a)
+        rows = a.sparse_rows
         pivots = intlinalg._pivots(a)
-        rank(a), is_direct_summand(a, 3), row_span_contains(a, [0, 3, 6]), a @ a
-        assert intlinalg._sparse_rows(a) is rows
+        rank(a), is_direct_summand(a, 3), row_span_contains(a, [0, 3, 6]), a @ a, a.entries
+        assert a.sparse_rows is rows
         assert intlinalg._pivots(a) is pivots
 
 

@@ -3,12 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfalg import intlinalg
 from surfalg.enveloping import hilbert_dimension, pbw_consistency
 from surfalg.errors import ResourceLimitExceeded
 from surfalg.freelie import free_lie_algebra, witt_dimension
+from surfalg.intlinalg import DimensionMismatch, IntMatrix
 from surfalg.surface import (
+    DegreeData,
     GradedElement,
     SurfaceAlgebra,
     build,
@@ -232,3 +236,131 @@ class TestNonIntegralInput:
         with pytest.raises(ValueError, match="not an integer"):
             alg_g2.lift(1, [1.5, 0, 0, 0])
         assert alg_g2.lift(1, ["1", 2.0, 0, 0]) == alg_g2.lift(1, [1, 2, 0, 0])
+
+
+class TestWrongLengthCoordinates:
+    """At g=2, degree 2 has 6 free basis words and quotient rank 5."""
+
+    def test_lift(self, alg_g2):
+        with pytest.raises(DimensionMismatch):
+            alg_g2.lift(2, [1, 2, 3, 4, 5, 6, 7])
+        with pytest.raises(DimensionMismatch):
+            alg_g2.lift(2, [1])
+        with pytest.raises(DimensionMismatch):
+            alg_g2.bracket_coords(1, [1, 0, 0, 0, 5], 1, [0, 1, 0, 0])
+        assert alg_g2.lift(2, [0] * 5).is_zero()
+
+    def test_reduce_free_vector(self, alg_g2):
+        with pytest.raises(DimensionMismatch):
+            alg_g2.reduce_free_vector(2, [1, 0])
+        with pytest.raises(DimensionMismatch):
+            alg_g2.reduce_free_vector(2, [0] * 6 + [9, 9])
+        with pytest.raises(DimensionMismatch):
+            alg_g2.reduce_free_vector(1, [])
+        assert alg_g2.reduce_free_vector(2, [0] * 6) == [0] * 6
+
+
+def dense_reduce(ideal_rows, vec):
+    """The dense loop the quotient reduced with before its rows went sparse.
+
+    ideal_rows are dense echelon rows with unit pivots, in increasing pivot
+    order; each is subtracted as many times as the vector's entry at its
+    pivot, from left to right.
+    """
+    pivots = [next(j for j, x in enumerate(row) if x) for row in ideal_rows]
+    v = list(vec)
+    for row, c in zip(ideal_rows, pivots):
+        q = v[c]
+        if q:
+            for j in range(c, len(v)):
+                v[j] -= q * row[j]
+    return v, pivots
+
+
+def _random_element(alg, d, draw):
+    """A Lie element of degree d: basis words, ideal elements, a bracket, and
+    a stray term of another degree that projection must ignore."""
+    fl = alg.free
+    words = fl.basis_words(d)
+    coeffs = st.integers(-3, 3)
+    terms = draw(st.lists(st.tuples(st.integers(0, len(words) - 1), coeffs), max_size=6))
+    elem = fl.element({words[i]: c for i, c in terms if c})
+    ideal = alg.ideal_elements(d)
+    for i, c in draw(st.lists(st.tuples(st.integers(0, max(len(ideal) - 1, 0)), coeffs), max_size=4)):
+        if ideal:
+            elem = elem + c * ideal[i]
+    if d > 1 and draw(st.booleans()):
+        left = fl.basis_words(d - 1)[draw(st.integers(0, len(fl.basis_words(d - 1)) - 1))]
+        elem = elem + fl.element({left: draw(coeffs)}).bracket(fl.generator(draw(st.integers(0, fl.n - 1))))
+    if draw(st.booleans()):
+        other = 1 if d > 1 else 2
+        elem = elem + fl.element({fl.basis_words(other)[0]: draw(st.integers(1, 3))})
+    return elem
+
+
+class TestSparseReductionMatchesDenseLoop:
+    """reduce_free_vector, project and contains_in_ideal against the dense loop."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["g2", "g3"]), st.data())
+    def test_on_random_lie_elements(self, alg_g2, alg_g3, which, data):
+        alg = alg_g2 if which == "g2" else alg_g3
+        d = data.draw(st.integers(1, alg.max_degree))
+        elem = _random_element(alg, d, data.draw)
+        index = alg.free.word_index(d)
+        vec = [0] * len(index)
+        for w, c in elem.homogeneous_component(d).items():
+            vec[index[w]] = c
+        reduced, pivots = dense_reduce(alg.degree_data(d).ideal_basis.entries, vec)
+        basis = [j for j in range(len(vec)) if j not in pivots]
+        assert alg.reduce_free_vector(d, vec) == reduced
+        assert alg.project(elem, d) == tuple(reduced[j] for j in basis)
+        assert alg.contains_in_ideal(elem, d) == (not any(reduced))
+
+    def test_membership_is_seen_both_ways(self, alg_g2, alg_g3):
+        for alg in (alg_g2, alg_g3):
+            for d in range(2, alg.max_degree + 1):
+                ideal = alg.ideal_elements(d)
+                inside = ideal[0] - 2 * ideal[-1]
+                assert alg.contains_in_ideal(inside, d)
+                assert alg.project(inside, d) == (0,) * alg.rank(d)
+                outside = inside + alg.basis_elements(d)[-1]
+                assert not alg.contains_in_ideal(outside, d)
+
+    # unit-pivot echelons whose rows keep entries in later pivot columns, so
+    # clearing one pivot column refills another: the order must be increasing
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_on_echelons_that_are_not_back_reduced(self, data):
+        n = data.draw(st.integers(1, 7))
+        pivots = sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n)))
+        entries = st.sampled_from([0, 0, 1, -1, 2, -3])
+        rows = []
+        for c in pivots:
+            rows.append([0] * c + [1] + [data.draw(entries) for _ in range(c + 1, n)])
+        vec = [data.draw(st.integers(-4, 4)) for _ in range(n)]
+        ideal = IntMatrix(rows, cols=n)
+        basis = tuple(j for j in range(n) if j not in pivots)
+        alg = SurfaceAlgebra(2, 1, {1: DegreeData(
+            ideal_basis=ideal,
+            pivot_rows=dict(zip(pivots, ideal.sparse_rows)),
+            basis_columns=basis,
+            basis_index={j: i for i, j in enumerate(basis)},
+            rank=len(basis),
+        )})
+        assert alg.reduce_free_vector(1, vec) == dense_reduce(rows, vec)[0]
+
+    def test_refilled_pivot_column(self):
+        # clearing column 0 puts -2 into pivot column 1, which must be
+        # cleared in turn
+        rows = [[1, 2, 0, 1], [0, 1, -1, 0]]
+        ideal = IntMatrix(rows)
+        alg = SurfaceAlgebra(2, 1, {1: DegreeData(
+            ideal_basis=ideal,
+            pivot_rows={0: ideal.sparse_rows[0], 1: ideal.sparse_rows[1]},
+            basis_columns=(2, 3),
+            basis_index={2: 0, 3: 1},
+            rank=2,
+        )})
+        assert alg.reduce_free_vector(1, [1, 0, 0, 0]) == [0, 0, -2, -1]
+        assert dense_reduce(rows, [1, 0, 0, 0])[0] == [0, 0, -2, -1]

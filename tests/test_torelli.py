@@ -200,3 +200,11 @@ def test_residue_check_survives_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("1 raised the wedge lift of p differs")
+
+
+def test_non_integral_variables_refused():
+    with pytest.raises(ValueError, match="not an integer"):
+        BoolPoly(2, [(0.5, 1)])
+    with pytest.raises(ValueError, match="not an integer"):
+        BoolPoly(2, [(0,), (1, 2.25)])
+    assert BoolPoly(2, [(1.0, "0")]).monomials == frozenset({(0, 1)})
