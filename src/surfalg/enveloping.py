@@ -121,8 +121,12 @@ class EnvelopingAlgebra:
         return {w: i for i, w in enumerate(self.reduced_words(degree))}
 
     def poly(self, terms: dict) -> "NcPoly":
-        """Reduced polynomial from {word: coeff}; coefficients must be integers."""
-        return NcPoly(self, self.reduce_raw(dict(zip(terms, intlinalg._int_row(terms.values())))))
+        """Reduced polynomial from {word: coeff}; letters must be integers in
+        0..2g-1 and coefficients must be integers."""
+        words = [intlinalg._int_row(w) for w in terms]
+        if any(not 0 <= x < self.n_letters for w in words for x in w):
+            raise ValueError(f"a word has letters outside 0..{self.n_letters - 1}")
+        return NcPoly(self, self.reduce_raw(dict(zip(words, intlinalg._int_row(terms.values())))))
 
     def letter(self, index: int) -> "NcPoly":
         if not 0 <= index < self.n_letters:
@@ -133,34 +137,17 @@ class EnvelopingAlgebra:
         return NcPoly(self, {(): 1})
 
     def from_lie(self, elem: LieElement) -> "NcPoly":
-        """Enveloping image of a Lie element (bracketings as commutators)."""
+        """Enveloping image of a Lie element (bracketings as commutators of
+        reduced polynomials: reduction is a ring homomorphism)."""
         if elem.algebra.n != self.n_letters:
             raise ValueError("letter counts differ")
-        raw: dict = {}
 
-        def expand(tree) -> dict:
+        def image(tree) -> NcPoly:
             if isinstance(tree, int):
-                return {(tree,): 1}
-            left, right = expand(tree[0]), expand(tree[1])
-            out: dict = {}
-            for wa, ca in left.items():
-                for wb, cb in right.items():
-                    for w, c in ((wa + wb, ca * cb), (wb + wa, -ca * cb)):
-                        val = out.get(w, 0) + c
-                        if val:
-                            out[w] = val
-                        else:
-                            del out[w]
-            return out
+                return self.letter(tree)
+            return image(tree[0]).commutator(image(tree[1]))
 
-        for word, coeff in elem.items():
-            for w, c in expand(elem.algebra.bracketing(word)).items():
-                val = raw.get(w, 0) + coeff * c
-                if val:
-                    raw[w] = val
-                else:
-                    del raw[w]
-        return self.poly(raw)
+        return sum((c * image(elem.algebra.bracketing(w)) for w, c in elem.items()), NcPoly(self, {}))
 
 
 @lru_cache(maxsize=None)
@@ -204,12 +191,7 @@ class NcPoly:
     def __add__(self, other: "NcPoly") -> "NcPoly":
         self._check_same(other)
         out = dict(self._terms)
-        for w, c in other._terms.items():
-            val = out.get(w, 0) + c
-            if val:
-                out[w] = val
-            else:
-                del out[w]
+        intlinalg._axpy(out, other._terms, 1)
         return NcPoly(self.algebra, out)
 
     def __sub__(self, other: "NcPoly") -> "NcPoly":
@@ -302,12 +284,7 @@ def center_in_degree_assoc(genus: int, degree: int) -> list[NcPoly]:
         rows = []
         for w in basis:
             img = alg.mul_raw({w: 1}, gen)
-            for ww, cc in alg.mul_raw(gen, {w: 1}).items():
-                val = img.get(ww, 0) - cc
-                if val:
-                    img[ww] = val
-                else:
-                    del img[ww]
+            intlinalg._axpy(img, alg.mul_raw(gen, {w: 1}), -1)
             rows.append({index[ww]: cc for ww, cc in img.items()})
         return rows
 

@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import CertificateError, ResourceLimitExceeded
-from .intlinalg import _int_row
+from .intlinalg import _axpy, _int_row
 
 # degree-d components beyond this dimension are outside desk scale
 _DIMENSION_CAP = 50_000
@@ -161,19 +161,9 @@ class FreeLieAlgebra:
             # [[u1,u2],v] = [u1,[u2,v]] - [u2,[u1,v]]
             result = {}
             for w, c in self.bracket_words(u2, v).items():
-                for w2, c2 in self.bracket_words(u1, w).items():
-                    val = result.get(w2, 0) + c * c2
-                    if val:
-                        result[w2] = val
-                    else:
-                        del result[w2]
+                _axpy(result, self.bracket_words(u1, w), c)
             for w, c in self.bracket_words(u1, v).items():
-                for w2, c2 in self.bracket_words(u2, w).items():
-                    val = result.get(w2, 0) - c * c2
-                    if val:
-                        result[w2] = val
-                    else:
-                        del result[w2]
+                _axpy(result, self.bracket_words(u2, w), -c)
         self._brackets[key] = result
         return result
 
@@ -297,12 +287,7 @@ class LieElement:
     def __add__(self, other: "LieElement") -> "LieElement":
         self._check_same(other)
         out = dict(self._coords)
-        for w, c in other._coords.items():
-            val = out.get(w, 0) + c
-            if val:
-                out[w] = val
-            else:
-                del out[w]
+        _axpy(out, other._coords, 1)
         return LieElement(self.algebra, out)
 
     def __sub__(self, other: "LieElement") -> "LieElement":
@@ -336,13 +321,7 @@ class LieElement:
         out: dict = {}
         for wa, ca in self._coords.items():
             for wb, cb in other._coords.items():
-                coeff = ca * cb
-                for w, c in alg.bracket_words(wa, wb).items():
-                    val = out.get(w, 0) + coeff * c
-                    if val:
-                        out[w] = val
-                    else:
-                        del out[w]
+                _axpy(out, alg.bracket_words(wa, wb), ca * cb)
         return LieElement(alg, out)
 
 

@@ -246,6 +246,11 @@ def _combination(coeffs: dict, rows: Sequence[dict]) -> dict:
 
 
 def _axpy(target: dict, source: dict, factor: int) -> None:
+    """target += factor * source on zero-free sparse dicts, in place.
+
+    The package's one accumulate rule: cancelled keys are dropped, source is
+    only read, factor 0 is a no-op.  Private because `surfbench/tracer.py`
+    spans every public function, and this one runs once per summand."""
     if factor == 0:
         return
     for c, val in source.items():
@@ -257,17 +262,9 @@ def _axpy(target: dict, source: dict, factor: int) -> None:
 
 
 def _combine(a: dict, ca: int, b: dict, cb: int) -> dict:
-    out = {}
-    for c, v in a.items():
-        val = ca * v
-        if val:
-            out[c] = val
-    for c, v in b.items():
-        val = out.get(c, 0) + cb * v
-        if val:
-            out[c] = val
-        else:
-            out.pop(c, None)
+    out: dict = {}
+    _axpy(out, a, ca)
+    _axpy(out, b, cb)
     return out
 
 

@@ -138,33 +138,12 @@ def surface_relator(genus: int) -> GroupWord:
     return out
 
 
-def _add(a: dict, b: dict, scale: int) -> dict:
-    """a + scale * b, with no zero coefficients."""
-    out = dict(a)
-    for w, c in b.items():
-        val = out.get(w, 0) + scale * c
-        if val:
-            out[w] = val
-        else:
-            del out[w]
-    return out
-
-
 def _free_mul(a: dict, b: dict, max_degree: int) -> dict:
     """Truncated product in the free tensor algebra (no rewriting)."""
     out: dict = {}
     for wa, ca in a.items():
-        if len(wa) > max_degree:
-            continue
-        for wb, cb in b.items():
-            if len(wa) + len(wb) > max_degree:
-                continue
-            w = wa + wb
-            val = out.get(w, 0) + ca * cb
-            if val:
-                out[w] = val
-            else:
-                del out[w]
+        room = max_degree - len(wa)
+        intlinalg._axpy(out, {wa + wb: cb for wb, cb in b.items() if len(wb) <= room}, ca)
     return out
 
 
@@ -206,8 +185,7 @@ class GroupRingTruncation:
             for l in surface_relator(genus).letters:
                 relator_image = _free_mul(relator_image, self._letter_series[l], truncation)
             defect = dict(relator_image)
-            defect[()] = defect.get((), 0) - 1
-            defect = {w: c for w, c in defect.items() if c}
+            intlinalg._axpy(defect, {(): 1}, -1)
             # the two-letter part of the defect is the graded relation, with
             # the leading word carrying coefficient -1
             if {w: c for w, c in defect.items() if len(w) == 2} != self.graded.relation:
@@ -272,7 +250,7 @@ class GroupRingTruncation:
         step = {w: -c for w, c in self.expand_raw(word).items() if w}
         acc, power = {(): 1}, step
         while power:
-            acc = _add(acc, power, 1)
+            intlinalg._axpy(acc, power, 1)
             power = self.mul_raw(power, step)
         self._cache[key] = acc
         return acc
@@ -285,7 +263,8 @@ class GroupRingTruncation:
         exactly when X and Y commute, and then no inverse is formed.
         """
         xs, ys = self.expand_raw(x), self.expand_raw(y)
-        defect = _add(self.mul_raw(xs, ys), self.mul_raw(ys, xs), -1)
+        defect = self.mul_raw(xs, ys)
+        intlinalg._axpy(defect, self.mul_raw(ys, xs), -1)
         if not defect:
             return {(): 1}
         out = self.mul_raw(self.mul_raw(defect, self.inverse_raw(x)), self.inverse_raw(y))

@@ -98,6 +98,8 @@ class SurfaceAlgebra:
         return v
 
     def _free_coords(self, elem: LieElement, d: int) -> dict:
+        if elem.algebra is not self.free:
+            raise ValueError("elements belong to different algebra handles")
         index = self.free.word_index(d)
         return {index[w]: c for w, c in elem.homogeneous_component(d).items()}
 
@@ -197,9 +199,12 @@ def build(g: int, K: int) -> SurfaceAlgebra:
     The degree-d ideal component is spanned by brackets of the lower-degree
     ideal bases with the generators (the ideal is generated in degree 2, and
     degree-1 elements generate the free algebra, so these brackets span).
-    Quotient bases are the complements of the Hermite pivot columns; the
-    pivots are required to be 1, which the degreewise freeness makes possible
-    and the build checks.
+    Quotient bases are the complements of the Hermite pivot columns, and the
+    build requires every pivot to be 1.  Unit pivots make the complement
+    columns a Z-basis of the quotient, so they imply freeness; the converse
+    fails (the span of (2, 3) in Z^2 is a direct summand with pivot 2), so
+    the Smith normal form check stays: it tells a quotient with torsion apart
+    from a free one whose Hermite basis has a non-unit pivot.
     """
     if g < 2:
         # genus 1 collapses: the relation kills the only degree-2 bracket and

@@ -112,6 +112,14 @@ def _interleaved_to_block(g: int, i: int) -> int:
     return i // 2 if i % 2 == 0 else g + i // 2
 
 
+def _cubic_wedge(g: int, m: Monomial) -> tuple[tuple[int, int, int], int]:
+    """Sorted block-order triple and sign of the wedge of a cubic monomial."""
+    w = wedge3(*(_interleaved_to_block(g, i) for i in m))
+    if w is None:
+        raise CertificateError(f"cubic monomial {m} repeats a letter")
+    return w
+
+
 def q_map(p: BoolPoly) -> tuple[int, ...]:
     """Mod-2 image in the exterior cube: cubic monomials to wedges, lower
     degrees to zero.  Linear over Z/2 and surjective (cubic monomials hit
@@ -125,10 +133,7 @@ def q_map(p: BoolPoly) -> tuple[int, ...]:
     for m in p.monomials:
         if len(m) != 3:
             continue
-        w = wedge3(*(_interleaved_to_block(g, i) for i in m))
-        if w is None:
-            raise CertificateError(f"cubic monomial {m} repeats a letter")
-        t, _ = w  # signs are invisible mod 2
+        t, _ = _cubic_wedge(g, m)  # signs are invisible mod 2
         out[index[t]] ^= 1
     return tuple(out)
 
@@ -201,7 +206,7 @@ def _pullback_relations(g: int, kill_a: bool) -> tuple[tuple[Monomial, ...], Int
         row = [0] * cols
         row[pos] = 2
         if len(m) == 3:
-            t, _ = wedge3(*(_interleaved_to_block(g, i) for i in m))
+            t, _ = _cubic_wedge(g, m)
             row[n_bool + index[t]] = -1
         rows.append(row)
     if kill_a:
@@ -264,7 +269,7 @@ def projection_to_cube_surjective(g: int) -> bool:
     for m in bool_basis(g, 3):
         vec = [0] * n_free
         if len(m) == 3:
-            t, _ = wedge3(*(_interleaved_to_block(g, i) for i in m))
+            t, _ = _cubic_wedge(g, m)
             vec[index[t]] = 1
         rows.append(vec)
     for t_pos in range(n_free):
@@ -298,7 +303,7 @@ def decompose_pullback_element(
     lift = [0] * comb(2 * g, 3)
     for m in p.monomials:
         if len(m) == 3:
-            t, sign = wedge3(*(_interleaved_to_block(g, i) for i in m))
+            t, sign = _cubic_wedge(g, m)
             lift[index[t]] += sign
     residue = [x - y for x, y in zip(v, lift)]
     if any(r % 2 for r in residue):

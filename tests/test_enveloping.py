@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfalg.enveloping import (
     NcPoly,
@@ -17,6 +19,7 @@ from surfalg.enveloping import (
     target_series,
 )
 from surfalg.freelie import free_lie_algebra
+from surfalg.surface import omega_element
 
 
 def brute_reduced_count(genus, degree):
@@ -210,3 +213,86 @@ def test_non_integral_coefficients_refused():
     p = alg.poly({(0, 1): 2.0, (1, 0): "3"})
     assert p == alg.poly({(0, 1): 2, (1, 0): 3})
     assert all(type(c) is int for _, c in p.items())
+
+
+def test_letters_outside_the_alphabet_refused():
+    alg = enveloping_algebra(2)
+    for word in [(0, 9), (-1,), (4,), (3, 0, 4)]:
+        with pytest.raises(ValueError, match=r"outside 0\.\.3"):
+            alg.poly({word: 1})
+    with pytest.raises(ValueError, match="not an integer"):
+        alg.poly({(0, 1.5): 1})
+    p = alg.poly({(0, 3.0): 1, ("1",): 2, (): 5})
+    assert p == alg.poly({(0, 3): 1, (1,): 2, (): 5})
+    assert all(type(x) is int for w, _ in p.items() for x in w)
+    assert repr(p) == "NcPoly(5 + 2*b1 + 1*a1*b2)"
+
+
+def expand_then_reduce(env, elem):
+    """The enveloping image as it was built before the commutators were
+    formed on reduced polynomials: every bracketing expanded in the free
+    associative algebra, summed unreduced, and reduced once at the end."""
+    raw = {}
+
+    def expand(tree):
+        if isinstance(tree, int):
+            return {(tree,): 1}
+        left, right = expand(tree[0]), expand(tree[1])
+        out = {}
+        for wa, ca in left.items():
+            for wb, cb in right.items():
+                for w, c in ((wa + wb, ca * cb), (wb + wa, -ca * cb)):
+                    val = out.get(w, 0) + c
+                    if val:
+                        out[w] = val
+                    else:
+                        del out[w]
+        return out
+
+    for word, coeff in elem.items():
+        for w, c in expand(elem.algebra.bracketing(word)).items():
+            val = raw.get(w, 0) + coeff * c
+            if val:
+                raw[w] = val
+            else:
+                del raw[w]
+    return NcPoly(env, env.reduce_raw(raw))
+
+
+@st.composite
+def lie_elements(draw):
+    """(enveloping algebra, Lie element) at genus 1-3, degrees 1-5."""
+    genus = draw(st.integers(1, 3))
+    fl = free_lie_algebra(2 * genus)
+    coords = {}
+    for _ in range(draw(st.integers(0, 4))):
+        words = fl.basis_words(draw(st.integers(1, 5)))
+        coords[words[draw(st.integers(0, len(words) - 1))]] = draw(st.integers(-3, 3))
+    return enveloping_algebra(genus), fl.element(coords)
+
+
+class TestFromLieMatchesExpandThenReduce:
+    @settings(max_examples=150, deadline=None)
+    @given(lie_elements())
+    def test_random_elements(self, case):
+        env, elem = case
+        got = env.from_lie(elem)
+        assert got == expand_then_reduce(env, elem)
+        assert all(c for _, c in got.items())
+
+    def test_fixed_cases(self):
+        env = enveloping_algebra(2)
+        fl = free_lie_algebra(4)
+        # omega maps to the relation, which reduces to zero
+        assert env.from_lie(omega_element(2)).is_zero()
+        assert env.from_lie(fl.zero()).is_zero()
+        # [a1, b1] = a1 b1 - b1 a1, already reduced
+        ab = fl.generator(0).bracket(fl.generator(1))
+        assert env.from_lie(ab) == env.poly({(0, 1): 1, (1, 0): -1})
+        assert env.from_lie(ab) == expand_then_reduce(env, ab)
+        # [a2, b2] reduces through the rule: b2 a2 is the leading word
+        cd = fl.generator(2).bracket(fl.generator(3))
+        assert env.from_lie(cd) == env.poly({(1, 0): 1, (0, 1): -1})
+        assert env.from_lie(3 * cd) == 3 * env.from_lie(cd)
+        with pytest.raises(ValueError, match="letter counts differ"):
+            env.from_lie(free_lie_algebra(6).generator(0))

@@ -841,3 +841,41 @@ class TestCommonLeftKernel:
         assert common_left_kernel(2, maps([{0: 1}, {1: 1}])) == []
         # the first map leaves a kernel, the second empties it
         assert common_left_kernel(2, maps([{0: 1}, {0: -1}], [{0: 1}, {}])) == []
+
+
+_sparse_dicts = st.dictionaries(st.integers(0, 7), st.integers(-3, 3).filter(bool), max_size=8)
+
+
+class TestAxpy:
+    """intlinalg._axpy, the package's one sparse accumulate, against dense
+    arithmetic over the columns 0..7."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_sparse_dicts, _sparse_dicts, st.integers(-3, 3), st.booleans())
+    def test_matches_dense(self, target, source, factor, cancel):
+        if cancel:
+            # make some keys cancel exactly
+            source = {**source, **{j: -x for j, x in target.items() if j % 2}}
+            factor = 1
+        before_target, before_source = dict(target), dict(source)
+        expected = [target.get(j, 0) + factor * source.get(j, 0) for j in range(8)]
+        result = target
+        assert intlinalg._axpy(result, source, factor) is None
+        assert result is target  # in place
+        assert source == before_source
+        assert all(result.values())
+        assert [result.get(j, 0) for j in range(8)] == expected
+        assert set(result) == {j for j in range(8) if expected[j]}
+        if factor == 0:
+            assert result == before_target
+
+    def test_fixed_cases(self):
+        t = {0: 2, 1: 1}
+        intlinalg._axpy(t, {0: 1, 2: 5}, -2)
+        assert t == {1: 1, 2: -10}
+        t = {3: 4}
+        intlinalg._axpy(t, {3: 4}, -1)
+        assert t == {}
+        t = {(0, 1): 1}
+        intlinalg._axpy(t, {(1, 0): 3}, 0)
+        assert t == {(0, 1): 1}

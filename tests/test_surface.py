@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from surfalg import intlinalg
 from surfalg.enveloping import hilbert_dimension, pbw_consistency
 from surfalg.errors import ResourceLimitExceeded
-from surfalg.freelie import free_lie_algebra, witt_dimension
+from surfalg.freelie import FreeLieAlgebra, free_lie_algebra, witt_dimension
 from surfalg.intlinalg import DimensionMismatch, IntMatrix
 from surfalg.surface import (
     DegreeData,
@@ -364,3 +364,25 @@ class TestSparseReductionMatchesDenseLoop:
         )})
         assert alg.reduce_free_vector(1, [1, 0, 0, 0]) == [0, 0, -2, -1]
         assert dense_reduce(rows, [1, 0, 0, 0])[0] == [0, 0, -2, -1]
+
+
+class TestForeignAlgebraElements:
+    """Elements of another free Lie algebra handle are refused, not read
+    through this algebra's word index."""
+
+    def test_project_and_membership(self, alg_g2):
+        other = FreeLieAlgebra(4)  # same letter count, another handle
+        foreign = [
+            free_lie_algebra(6).generator(5),  # a word this algebra lacks
+            free_lie_algebra(6).generator(0),  # a word it has
+            other.generator(0),
+            other.generator(0).bracket(other.generator(1)),
+        ]
+        for elem in foreign:
+            d = elem.degrees()[0]
+            with pytest.raises(ValueError, match="different algebra handles"):
+                alg_g2.project(elem, d)
+            with pytest.raises(ValueError, match="different algebra handles"):
+                alg_g2.contains_in_ideal(elem, d)
+        assert alg_g2.project(alg_g2.free.generator(0), 1) == (1, 0, 0, 0)
+        assert alg_g2.contains_in_ideal(omega_element(2), 2)

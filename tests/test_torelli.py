@@ -11,7 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surfalg import torelli
+from surfalg.errors import CertificateError
 from surfalg.intlinalg import FgAbGroup
+from surfalg.symplectic import wedge3
 from surfalg.torelli import (
     BoolPoly,
     bool_basis,
@@ -208,3 +211,19 @@ def test_non_integral_variables_refused():
     with pytest.raises(ValueError, match="not an integer"):
         BoolPoly(2, [(0,), (1, 2.25)])
     assert BoolPoly(2, [(1.0, "0")]).monomials == frozenset({(0, 1)})
+
+
+def test_cubic_wedge():
+    for g in (2, 3):
+        seen = set()
+        for m in bool_basis(g, 3):
+            if len(m) != 3:
+                continue
+            t, sign = torelli._cubic_wedge(g, m)
+            assert (t, sign) == wedge3(*(torelli._interleaved_to_block(g, i) for i in m))
+            seen.add(t)
+        assert len(seen) == comb(2 * g, 3)  # a bijection onto the wedge triples
+    # a1 b1 a2 in block order at genus 2 is e0 ^ e2 ^ e1 = -(e0 ^ e1 ^ e2)
+    assert torelli._cubic_wedge(2, (0, 1, 2)) == ((0, 1, 2), -1)
+    with pytest.raises(CertificateError, match="repeats a letter"):
+        torelli._cubic_wedge(2, (0, 0, 1))
