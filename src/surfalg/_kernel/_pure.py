@@ -9,6 +9,11 @@ inhomogeneous tail); with max_len >= 0 words beyond that length are dropped,
 which makes leftmost rewriting terminating, and the leading word never
 overlaps itself, so the normal form is unique.
 
+Inputs need not be reduced: reduce_terms and mul_reduce reduce every word
+they meet.  mul_reduce groups its second factor's words by length once per
+call, so under a degree cap it visits only the pairs of lengths the cap
+admits.
+
 Callers own the memo dict and must key it per (rule, max_len); the same memo
 may be shared across calls only when those two are fixed.
 """
@@ -73,28 +78,40 @@ def reduce_terms(terms, lead0, lead1, rhs_words, rhs_coeffs, memo, max_len=-1):
 
 
 def mul_reduce(a, b, max_degree, lead0, lead1, rhs_words, rhs_coeffs, memo, max_len=-1):
-    """Reduced truncated product of two reduced polynomials.
+    """Reduced truncated product of two polynomials.
 
-    Product words longer than max_degree are dropped before reduction (pass a
-    negative max_degree for no truncation); max_len is the rewrite cutoff and
-    must match the memo's.
+    The inputs need not be reduced.  Product words longer than max_degree are
+    dropped before reduction (pass a negative max_degree for no truncation);
+    max_len is the rewrite cutoff and must match the memo's.  b's terms are
+    grouped by word length once per call, and each term of a walks only the
+    groups short enough to keep, so a rejected pair costs nothing.
     """
+    by_len = {}
+    for wb, cb in b.items():
+        if cb:
+            group = by_len.get(len(wb))
+            if group is None:
+                by_len[len(wb)] = [(wb, cb)]
+            else:
+                group.append((wb, cb))
+    groups = sorted(by_len.items())
     acc = {}
     for wa, ca in a.items():
-        la = len(wa)
-        if not ca or 0 <= max_degree < la:
+        if not ca:
             continue
-        for wb, cb in b.items():
-            if not cb or 0 <= max_degree < la + len(wb):
-                continue
-            coeff = ca * cb
-            # inline, not intlinalg._axpy: a call per word cost ~3% wall on graded-g2k6 and magnus-g2k6
-            for w2, c2 in reduce_word(
-                wa + wb, lead0, lead1, rhs_words, rhs_coeffs, memo, max_len
-            ).items():
-                val = acc.get(w2, 0) + coeff * c2
-                if val:
-                    acc[w2] = val
-                else:
-                    del acc[w2]
+        room = max_degree - len(wa)
+        for lb, group in groups:
+            if 0 <= max_degree and room < lb:
+                break
+            for wb, cb in group:
+                coeff = ca * cb
+                # inline, not intlinalg._axpy: a call per word cost ~3% wall on graded-g2k6 and magnus-g2k6
+                for w2, c2 in reduce_word(
+                    wa + wb, lead0, lead1, rhs_words, rhs_coeffs, memo, max_len
+                ).items():
+                    val = acc.get(w2, 0) + coeff * c2
+                    if val:
+                        acc[w2] = val
+                    else:
+                        del acc[w2]
     return acc

@@ -123,7 +123,7 @@ class EnvelopingAlgebra:
     def poly(self, terms: dict) -> "NcPoly":
         """Reduced polynomial from {word: coeff}; letters must be integers in
         0..2g-1 and coefficients must be integers."""
-        words = [intlinalg._int_row(w) for w in terms]
+        words = [intlinalg._int_word(w) for w in terms]
         if any(not 0 <= x < self.n_letters for w in words for x in w):
             raise ValueError(f"a word has letters outside 0..{self.n_letters - 1}")
         return NcPoly(self, self.reduce_raw(dict(zip(words, intlinalg._int_row(terms.values())))))

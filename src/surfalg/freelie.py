@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import CertificateError, ResourceLimitExceeded
-from .intlinalg import _axpy, _int_row
+from .intlinalg import _axpy, _int_row, _int_word
 
 # degree-d components beyond this dimension are outside desk scale
 _DIMENSION_CAP = 50_000
@@ -179,7 +179,7 @@ class FreeLieAlgebra:
         """Element from {word_or_HallWord: coeff}; words must be Lyndon."""
         flat = {}
         for k, c in zip(coords, _int_row(coords.values())):
-            w = k.word if isinstance(k, HallWord) else tuple(k)
+            w = k.word if isinstance(k, HallWord) else _int_word(k)
             if not is_lyndon(w):
                 raise ValueError(f"{w} is not a basis word")
             if c:
@@ -207,7 +207,7 @@ class HallWord:
     __slots__ = ("algebra", "word")
 
     def __init__(self, algebra: FreeLieAlgebra, word: Iterable[int]):
-        w = _int_row(word)
+        w = _int_word(word)
         if not all(0 <= x < algebra.n for x in w):
             raise ValueError(f"letters outside 0..{algebra.n - 1}")
         if not is_lyndon(w):

@@ -217,6 +217,17 @@ def _int_row(row: Iterable) -> tuple[int, ...]:
     return out
 
 
+def _int_word(word: Iterable) -> tuple[int, ...]:
+    """word as a tuple of int letters by `_int_row`'s rule.
+
+    A str or bytes word is refused whole: iterating it would read one
+    character (or byte) per letter, so '10' would become the letters 1, 0.
+    The one coercion rule for word input across the package."""
+    if isinstance(word, (str, bytes, bytearray)):
+        raise ValueError(f"word {word!r} is a string; give its letters as a sequence of ints")
+    return _int_row(word)
+
+
 def _pivots(a: IntMatrix) -> dict:
     """a's transform-free `sparse_echelon` pivots, memoized on a: read only.
 

@@ -38,9 +38,10 @@ class GroupWord:
 
     Letters are nonzero ints: +(i+1) is the generator with project letter
     index i, negative its inverse.  No adjacent inverse pairs survive
-    construction.  The public constructor coerces each letter with int(),
-    refusing any non-string letter that int() would change, checks the
-    alphabet and reduces fully; `GroupWord._of` skips all of it and is only
+    construction.  The public constructor coerces the letters by
+    `intlinalg._int_word` (a string word is refused whole, a non-string
+    letter that int() would change is refused), checks the alphabet and
+    reduces fully; `GroupWord._of` skips all of it and is only
     for letters that are already reduced, as products and inverses of
     reduced words are.
     """
@@ -51,10 +52,7 @@ class GroupWord:
         if genus < 1:
             raise ValueError("genus must be at least 1")
         stack: list[int] = []
-        for x in letters:
-            l = int(x)
-            if l != x and not isinstance(x, str):
-                raise ValueError(f"letter {x!r} is not an integer")
+        for l in intlinalg._int_word(letters):
             if l == 0 or abs(l) > 2 * genus:
                 raise ValueError(f"letter {l} outside the alphabet of genus {genus}")
             if stack and stack[-1] == -l:
@@ -255,16 +253,37 @@ class GroupRingTruncation:
         self._cache[key] = acc
         return acc
 
+    def defect_raw(self, x: GroupWord, y: GroupWord, degree: int | None = None) -> dict:
+        """XY - YX for X = E(x) and Y = E(y), through the given degree.
+
+        The constant terms cancel, so the defect is (X-1)(Y-1) - (Y-1)(X-1)
+        and only the non-constant parts are multiplied.  With a degree d below
+        the truncation, product words longer than d are dropped before
+        reduction and the result is cut to degree d.  Reduction never
+        shortens a word, so that equals the full defect truncated to degree d.
+        """
+        k = self.truncation
+        cap = k if degree is None else min(degree, k)
+        xs = {w: c for w, c in self.expand_raw(x).items() if w}
+        ys = {w: c for w, c in self.expand_raw(y).items() if w}
+        rule = (self.lead[0], self.lead[1], self.rhs_words, self.rhs_coeffs, self._memo, k)
+        out = mul_reduce(xs, ys, cap, *rule)
+        intlinalg._axpy(out, mul_reduce(ys, xs, cap, *rule), -1)
+        if cap < k:
+            out = {w: c for w, c in out.items() if len(w) <= cap}
+        return out
+
     def commutator_raw(self, x: GroupWord, y: GroupWord) -> dict:
         """Expansion of [x, y] = x y x^-1 y^-1 from the cached expansions.
 
         With X = E(x) and Y = E(y), E([x, y]) = 1 + (XY - YX) X^-1 Y^-1,
         since (XY - YX) X^-1 Y^-1 = XY X^-1 Y^-1 - 1.  So [x, y] expands to 1
-        exactly when X and Y commute, and then no inverse is formed.
+        exactly when the defect XY - YX (`defect_raw`) vanishes, and then no
+        inverse is formed.  For x in the jth and y in the ith lower-central
+        term, X - 1 and Y - 1 start in degrees j and i, so the defect and
+        [x, y] - 1 start in degree i + j, as the filtration demands.
         """
-        xs, ys = self.expand_raw(x), self.expand_raw(y)
-        defect = self.mul_raw(xs, ys)
-        intlinalg._axpy(defect, self.mul_raw(ys, xs), -1)
+        defect = self.defect_raw(x, y)
         if not defect:
             return {(): 1}
         out = self.mul_raw(self.mul_raw(defect, self.inverse_raw(x)), self.inverse_raw(y))
@@ -305,10 +324,6 @@ class MagnusSeries:
 
     def is_one(self) -> bool:
         return self._terms == {(): 1}
-
-    def min_positive_degree(self) -> int | None:
-        degs = [len(w) for w in self._terms if w]
-        return min(degs) if degs else None
 
     def __mul__(self, other: "MagnusSeries") -> "MagnusSeries":
         if self.ring is not other.ring:
@@ -401,6 +416,15 @@ def center_of_quotient(
     Spanning cosets of each layer j <= k, realized as commutator words, are
     tested against all 2g generators modulo the (k+1)st term.  Passing means
     exactly the top layer j = k centralizes.
+
+    A word x commutes with y in the quotient exactly when the defect
+    E(x)E(y) - E(y)E(x) vanishes through degree k; for x in layer j it
+    starts in degree j + 1.  Reduction never shortens a word, so the defect
+    cut at a degree d < k is the full defect truncated to degree d, and a
+    nonzero cut already proves non-centrality.  Each word below layer k - 1
+    is therefore first tested at degree j + 1; only a word that no generator
+    witnesses there is tested at the full degree k, so central_count stays
+    exact.
     """
     if k < 2:
         raise ValueError("the class-1 quotient is abelian; need k >= 2")
@@ -411,10 +435,11 @@ def center_of_quotient(
         spanning = _realize_hall_words(genus, j, ring)
         central = 0
         for x in spanning:
-            low = MagnusSeries(ring, ring.expand_raw(x)).min_positive_degree()
-            if low is not None and low < j:
+            if any(w and len(w) < j for w in ring.expand_raw(x)):
                 raise CertificateError(f"commutator word expands below its layer {j}")
-            if all(ring.commutator_raw(x, y) == {(): 1} for y in gens):
+            if j + 1 < k and any(ring.defect_raw(x, y, j + 1) for y in gens):
+                continue
+            if not any(ring.defect_raw(x, y) for y in gens):
                 central += 1
         verdicts.append(
             LayerVerdict(

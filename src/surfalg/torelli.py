@@ -56,7 +56,7 @@ class BoolPoly:
             raise ValueError("genus must be at least 1")
         mons = set()
         for m in monomials:
-            m = tuple(sorted(set(intlinalg._int_row(m))))
+            m = tuple(sorted(set(intlinalg._int_word(m))))
             if any(not 0 <= x < 2 * genus for x in m):
                 raise ValueError(f"variable outside 0..{2 * genus - 1} in {m}")
             if len(m) > degree_bound:

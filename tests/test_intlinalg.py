@@ -751,6 +751,29 @@ class TestNonIntegralInput:
         assert row_span_contains(a, [4.0, "0"])
         assert not row_span_contains(a, ["3", 0])
 
+    def test_string_words(self):
+        # a string word would be read one character per letter ('10' as the
+        # letters 1, 0), so every word entry point refuses it whole; string
+        # entries of a sequence are still parsed
+        from surfalg.enveloping import enveloping_algebra
+        from surfalg.freelie import HallWord, free_lie_algebra
+        from surfalg.nilpotent import GroupWord
+        from surfalg.torelli import BoolPoly
+
+        refusals = {
+            "poly": lambda w: enveloping_algebra(6).poly({w: 1}),
+            "hall": lambda w: HallWord(free_lie_algebra(12), w),
+            "element": lambda w: free_lie_algebra(12).element({w: 1}),
+            "group": lambda w: GroupWord(6, w),
+            "bool": lambda w: BoolPoly(6, [w]),
+        }
+        for name, make in refusals.items():
+            for word in ("12", b"12"):
+                with pytest.raises(ValueError, match="is a string"):
+                    make(word)
+            assert make(("1", 2)) == make((1, 2)), name
+        assert enveloping_algebra(6).poly({("10",): 1}) == enveloping_algebra(6).letter(10)
+
 
 # n unknowns, then up to four maps, each given by n image rows of width 1-3;
 # zero entries and zero rows are common, so kernels of every size turn up

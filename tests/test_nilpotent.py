@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surfalg._kernel import mul_reduce
 from surfalg.nilpotent import (
     GroupRingTruncation,
     GroupWord,
+    LayerVerdict,
     MagnusSeries,
     center_of_quotient,
     equal_in_quotient,
@@ -290,6 +292,74 @@ class TestCenterOfQuotient:
         graded = verify_center_theorem(alg)
         word_level = center_of_quotient(2, 3)
         assert graded.passed and word_level.passed
+
+
+def truncated(terms, d):
+    return {w: c for w, c in terms.items() if len(w) <= d}
+
+
+# (genus, K) pairs for the filtration facts and the centrality oracle
+FILTERED_RINGS = [(2, K) for K in range(2, 7)] + [(3, K) for K in range(2, 5)]
+
+
+def letters(g):
+    return st.lists(st.integers(1, 2 * g).flatmap(lambda l: st.sampled_from([l, -l])), max_size=6)
+
+
+class TestFiltration:
+    """Cutting at degree d commutes with expansion and with reduced products.
+
+    center_of_quotient's low-degree witness rests on both: reduction never
+    shortens a word, so the words a cap drops cannot reach degree d.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(FILTERED_RINGS).flatmap(
+            lambda gK: st.tuples(
+                st.just(gK), st.integers(1, gK[1]), letters(gK[0]), letters(gK[0])
+            )
+        )
+    )
+    def test_truncation_commutes(self, case):
+        (g, K), d, la, lb = case
+        ring = group_ring_truncation(g, K)
+        x, y = GroupWord(g, la), GroupWord(g, lb)
+        assert group_ring_truncation(g, d).expand_raw(x) == truncated(ring.expand_raw(x), d)
+        xs, ys = ring.expand_raw(x), ring.expand_raw(y)
+        rule = (ring.lead[0], ring.lead[1], ring.rhs_words, ring.rhs_coeffs, ring._memo, K)
+        capped = mul_reduce(xs, ys, d, *rule)
+        assert truncated(capped, d) == truncated(ring.mul_raw(xs, ys), d)
+        assert ring.defect_raw(x, y, d) == truncated(ring.defect_raw(x, y), d)
+
+    def test_defect_decides_commutation(self):
+        rng = random.Random(7)
+        ring = group_ring_truncation(2, 4)
+        for _ in range(40):
+            x, y = random_word(rng, 2, 4), random_word(rng, 2, 4)
+            assert (not ring.defect_raw(x, y)) == (ring.commutator_raw(x, y) == {(): 1})
+            assert (not ring.defect_raw(x, y)) == equal_in_quotient(x * y, y * x, 4)
+
+
+def full_commutator_verdicts(genus, k):
+    """center_of_quotient's layers by its earlier loop: every commutator with
+    a generator expanded at the full truncation and compared with 1."""
+    ring = GroupRingTruncation(genus, k)
+    gens = generators(genus)
+    verdicts = []
+    for j in range(1, k + 1):
+        spanning = _realize_hall_words(genus, j, ring)
+        central = 0
+        for x in spanning:
+            if all(ring.commutator_raw(x, y) == {(): 1} for y in gens):
+                central += 1
+        verdicts.append(LayerVerdict(j, len(spanning), central, None))
+    return tuple(verdicts)
+
+
+@pytest.mark.parametrize("genus,k", FILTERED_RINGS)
+def test_witness_verdicts_match_full_commutators(genus, k):
+    assert center_of_quotient(genus, k).layers == full_commutator_verdicts(genus, k)
 
 
 @pytest.mark.parametrize("genus,K", [(2, 5), (3, 4)])
