@@ -391,11 +391,16 @@ def _suite_sp_decomposition(s: _Session) -> list[CheckResult]:
         n = comb(2 * g, 3)
         trials = cfg.trials
         vec_ok = 0
+        # row form: c @ (A @ v) == M @ (c @ v) iff v @ A.T @ c.T == v @ c.T @ M.T
+        ct = c.transpose().sparse_rows
+        transposed = [
+            (gen.matrix.transpose().sparse_rows, action.transpose().sparse_rows) for gen, action in pairs
+        ]
         for _ in range(trials):
-            gen, action = rng.choice(pairs)
-            v = IntMatrix([[rng.randint(-5, 5) for _ in range(n)]]).transpose()
-            lhs = c @ (action @ v)
-            rhs = gen.matrix @ (c @ v)
+            mt, at = rng.choice(transposed)
+            v = {j: x for j in range(n) if (x := rng.randint(-5, 5))}
+            lhs = intlinalg._combination(intlinalg._combination(v, at), ct)
+            rhs = intlinalg._combination(intlinalg._combination(v, ct), mt)
             if lhs == rhs:
                 vec_ok += 1
         return (

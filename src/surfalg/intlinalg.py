@@ -435,20 +435,30 @@ def same_row_span(a: IntMatrix, b: IntMatrix) -> bool:
     return row_span_hnf(a) == row_span_hnf(b)
 
 
-def row_span_contains(a: IntMatrix, vec: Sequence[int]) -> bool:
+def row_span_contains(a: IntMatrix, vec: Sequence[int] | dict) -> bool:
     """Whether vec lies in the integer row span of a.
 
-    vec is reduced against the echelon rows of a, which have distinct
-    leading columns and span the same lattice: it is a member iff each
-    leading entry met is a multiple of that column's pivot and nothing is
-    left.  The echelon is computed once per matrix and kept on it, so
-    testing many vectors against one matrix costs one elimination.  Entries
-    of vec are coerced as by the IntMatrix constructor.
+    vec is a dense sequence of a.cols entries or a sparse dict
+    {column: coefficient} with columns in range(a.cols); either way its
+    entries are coerced as by the IntMatrix constructor (`_int_row`), and
+    zero values of a dict are dropped.  A wrong length or a column outside
+    the range raises DimensionMismatch.  vec is reduced against the echelon
+    rows of a, which have distinct leading columns and span the same
+    lattice: it is a member iff each leading entry met is a multiple of that
+    column's pivot and nothing is left.  The echelon is computed once per
+    matrix and kept on it, so testing many vectors against one matrix costs
+    one elimination.  A dict given as vec is only read.
     """
-    if len(vec) != a.cols:
+    if isinstance(vec, dict):
+        columns = range(a.cols)
+        if not all(type(c) is int and c in columns for c in vec):
+            raise DimensionMismatch(f"sparse vector has a column outside range({a.cols})")
+        v = {c: x for c, x in zip(vec, _int_row(vec.values())) if x}
+    elif len(vec) != a.cols:
         raise DimensionMismatch("vector length differs from column count")
+    else:
+        v = _sparse(_int_row(vec))
     pivots = _pivots(a)
-    v = _sparse(_int_row(vec))
     while v:
         c = min(v)
         entry = pivots.get(c)

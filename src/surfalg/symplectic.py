@@ -36,16 +36,23 @@ class SymplecticSpace:
         return 2 * self.genus
 
     def label(self, index: int) -> str:
+        """Name of basis vector index: a1..ag for 0..g-1, b1..bg for g..2g-1.
+
+        The inverse of `index_of`; any other index raises ValueError."""
         g = self.genus
+        if not isinstance(index, int) or not 0 <= index < 2 * g:
+            raise ValueError(f"no basis vector {index!r} at genus {g}")
         return f"a{index + 1}" if index < g else f"b{index - g + 1}"
 
     def index_of(self, label: str) -> int:
-        kind, num = label[0], int(label[1:])
-        if kind == "a":
-            return num - 1
-        if kind == "b":
-            return self.genus + num - 1
-        raise ValueError(f"unknown label {label!r}")
+        """Index of the basis vector named label; the inverse of `label`.
+
+        Only the 2g names `label` gives are accepted: 'a0', 'b7' at genus 3,
+        'a01' and non-strings raise ValueError."""
+        for index in range(self.dim):
+            if label == self.label(index):
+                return index
+        raise ValueError(f"unknown label {label!r} at genus {self.genus}")
 
     def form_matrix(self) -> IntMatrix:
         g = self.genus
@@ -245,20 +252,37 @@ def _generator_actions(g: int) -> tuple[tuple[SpGenerator, IntMatrix], ...]:
     return tuple((gen, lambda3_action(gen)) for gen in sp_generators(g))
 
 
-def _det3(m, rows, cols) -> int:
-    (r0, r1, r2), (c0, c1, c2) = rows, cols
-    return (
-        m[r0][c0] * (m[r1][c1] * m[r2][c2] - m[r1][c2] * m[r2][c1])
-        - m[r0][c1] * (m[r1][c0] * m[r2][c2] - m[r1][c2] * m[r2][c0])
-        + m[r0][c2] * (m[r1][c0] * m[r2][c1] - m[r1][c1] * m[r2][c0])
-    )
+@lru_cache(maxsize=None)
+def _moved_rows(g: int) -> tuple[dict, ...]:
+    """Per generator action A of `generator_actions(g)`, the nonzero sparse
+    rows of A.T - I, by row index: row c is the moved part A e_c - e_c of
+    basis vector c, and a basis vector A fixes has no entry."""
+    out = []
+    for _, act in generator_actions(g):
+        rows = {}
+        for c, col in enumerate(act.transpose().sparse_rows):
+            moved = dict(col)
+            intlinalg._axpy(moved, {c: 1}, -1)
+            if moved:
+                rows[c] = moved
+        out.append(rows)
+    return tuple(out)
+
+
+def _moved_part(r: dict, moved: dict) -> dict:
+    """r @ (A.T - I) for a sparse row r, from A's `_moved_rows` entry."""
+    return intlinalg._combination({c: x for c, x in r.items() if c in moved}, moved)
 
 
 def lambda3_action(m: IntMatrix | SpGenerator) -> IntMatrix:
-    """Induced matrix on the third exterior power, via 3x3 minors.
+    """Induced matrix on the third exterior power, built from m's sparse columns.
 
-    Entry ((p<q<r), (i<j<k)) is det m[[p,q,r], [i,j,k]]; functoriality
-    (composition goes to composition) is the Cauchy-Binet identity.
+    Column (i<j<k) is the image (m e_i) ^ (m e_j) ^ (m e_k) of e_i ^ e_j ^ e_k,
+    expanded multilinearly over the nonzero entries of the three columns
+    with `wedge3`.  Its entry in row (p<q<r) is therefore still the 3x3 minor
+    det m[[p,q,r], [i,j,k]], and functoriality (composition goes to
+    composition) is the Cauchy-Binet identity.  A column costs the product
+    of the three column supports, a few terms for a generator.
     """
     if isinstance(m, SpGenerator):
         m = m.matrix
@@ -266,11 +290,21 @@ def lambda3_action(m: IntMatrix | SpGenerator) -> IntMatrix:
     if n != m.cols:
         raise ValueError("need a square matrix")
     trips = tuple(combinations(range(n), 3))
-    ent = m.entries
-    rows = []
-    for t_out in trips:
-        rows.append([_det3(ent, t_out, t_in) for t_in in trips])
-    return IntMatrix(rows, cols=len(trips))
+    index = {t: r for r, t in enumerate(trips)}
+    cols = m.transpose().sparse_rows
+    images = []
+    for i, j, k in trips:
+        image: dict = {}
+        for p, x in cols[i].items():
+            for q, y in cols[j].items():
+                for r, z in cols[k].items():
+                    w = wedge3(p, q, r)
+                    if w is None:
+                        continue
+                    t, sign = w
+                    image[index[t]] = image.get(index[t], 0) + sign * x * y * z
+        images.append({row: x for row, x in image.items() if x})
+    return IntMatrix._of(images, len(trips)).transpose()
 
 
 def contraction_matrix(space: SymplecticSpace) -> IntMatrix:
@@ -290,12 +324,8 @@ def contraction(v: ExtVector | Sequence[int], space: SymplecticSpace) -> tuple[i
     """Contraction of an exterior-cube vector down to H; linear and
     equivariant for the symplectic action."""
     coords = v.coords if isinstance(v, ExtVector) else intlinalg._int_row(v)
-    c = contraction_matrix(space)
-    out = [0] * space.dim
-    for r in range(space.dim):
-        row = c.row(r)
-        out[r] = sum(row[i] * coords[i] for i in range(len(coords)))
-    return tuple(out)
+    rows = contraction_matrix(space).sparse_rows
+    return tuple(sum(x * coords[i] for i, x in row.items()) for row in rows)
 
 
 def theta_wedge(space: SymplecticSpace, vec: Sequence[int]) -> ExtVector:
@@ -410,26 +440,29 @@ def summand_correspondence_roundtrip(v: IntMatrix, g: int) -> RoundtripReport:
     Checks that the rows are carried into their own span by every generator
     action and span a direct summand; when both hold, the integral points of
     the spanned rational subspace must reproduce the same summand.  Status is
-    reported rather than assumed so callers can probe non-examples.
+    reported rather than assumed so callers can probe non-examples.  Every
+    verdict depends only on the row span L, so all are taken on its Hermite
+    basis; invariance tests, with `intlinalg.row_span_contains`, only the
+    moved part of each basis row's image, a sparse combination of the rows
+    of A.T - I cached per genus.
     """
     space = SymplecticSpace(g)
     n = len(space.triples())
     if v.cols != n:
         raise intlinalg.DimensionMismatch(f"rows must have {n} coordinates")
-    invariant = True
-    vt = v.transpose()
-    for _, act in generator_actions(g):
-        # row vectors transform by the transpose: v @ act.T == (act @ v.T).T
-        image = (act @ vt).transpose()
-        for row in image.entries:
-            if not intlinalg.row_span_contains(v, row):
-                invariant = False
-                break
-        if not invariant:
-            break
-    summand = intlinalg.is_direct_summand(v, n)
+    # The Hermite basis h of L is reduced above its pivots, so its rows are
+    # sparser and smaller than v's own echelon rows.  A generator with
+    # action A moves a row r of h to r @ A.T, which lies in L iff its moved
+    # part r @ (A.T - I) does.
+    h = intlinalg.row_span_hnf(v)
+    invariant = all(
+        intlinalg.row_span_contains(h, _moved_part(r, moved))
+        for moved in _moved_rows(g)
+        for r in h.sparse_rows
+    )
+    summand = intlinalg.is_direct_summand(h, n)
     if not (invariant and summand):
         return RoundtripReport(invariant, summand, None)
-    integral_points = intlinalg.saturate(v, n)
-    roundtrip = intlinalg.same_row_span(integral_points, v)
+    integral_points = intlinalg.saturate(h, n)
+    roundtrip = intlinalg.same_row_span(integral_points, h)
     return RoundtripReport(invariant, summand, roundtrip)

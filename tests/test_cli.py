@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from surfalg import cli, torelli
+from surfalg.intlinalg import IntMatrix
+from surfalg.symplectic import SymplecticSpace, contraction_matrix, generator_actions
 from surfalg.cli import (
     ConfigError,
     NonDivisibleError,
@@ -204,6 +206,30 @@ class TestFaultIsolation:
         assert [c.status for c in rep.checks] == ["fail"] * 3
         assert rep.checks[0].actual == "error: CertificateError: forged certificate"
         assert not rep.passed
+
+
+def test_equivariance_trials_count_what_dense_products_count(monkeypatch):
+    # every other action is forged (its rows reversed), so some vector trials
+    # fail; replaying the check's random draws with the former dense column
+    # products must count the same successes
+    g, trials = 2, 200
+    pairs = tuple(
+        (gen, act if k % 2 else IntMatrix(act.entries[::-1]))
+        for k, (gen, act) in enumerate(generator_actions(g))
+    )
+    monkeypatch.setattr(cli, "generator_actions", lambda _: pairs)
+    config = RunConfig(genus=g, max_degree=3, suites=("sp-decomposition",), trials=trials, seed=11)
+    check = next(c for c in run(config).checks if c.name == "contraction-equivariance")
+    c = contraction_matrix(SymplecticSpace(g))
+    rng = cli._Session(config).rng("sp-decomposition")
+    dense_ok = 0
+    for _ in range(trials):
+        gen, action = rng.choice(pairs)
+        v = IntMatrix([[rng.randint(-5, 5) for _ in range(c.cols)]]).transpose()
+        dense_ok += c @ (action @ v) == gen.matrix @ (c @ v)
+    assert 0 < dense_ok < trials
+    assert check.status == "fail"
+    assert check.actual == {"generators": len(pairs) // 2, "vector_trials": dense_ok}
 
 
 def test_optimized_end_to_end_run_passes():

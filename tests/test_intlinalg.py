@@ -476,6 +476,38 @@ class TestRowSpanMembership:
         with pytest.raises(DimensionMismatch):
             row_span_contains(IntMatrix([[1, 2]]), [1, 2, 3])
 
+    @settings(max_examples=300, deadline=None)
+    @given(membership_cases, st.randoms(use_true_random=False))
+    def test_sparse_vector_matches_dense(self, case, rnd):
+        rows, scale, probes = case
+        a = IntMatrix([[scale * x for x in r] for r in rows])
+        for coeffs, noise in probes:
+            vec = [sum(c * r[j] for c, r in zip(coeffs, a.entries)) + e for j, e in enumerate(noise)]
+            # the nonzero entries in a shuffled order, some columns given an explicit zero
+            cols = [j for j, x in enumerate(vec) if x or rnd.random() < 0.5]
+            rnd.shuffle(cols)
+            sparse = {j: vec[j] for j in cols}
+            snapshot = dict(sparse)
+            assert row_span_contains(a, sparse) == row_span_contains(a, vec)
+            assert sparse == snapshot
+
+    def test_sparse_vector_follows_the_coercion_rule(self):
+        a = IntMatrix([[2, 0, 4], [0, 3, 0]])
+        assert row_span_contains(a, {0: 2, 2: 4})
+        assert row_span_contains(a, {})
+        assert row_span_contains(a, {1: 0, 2: 0})
+        assert row_span_contains(a, {0: "2", 1: 3.0, 2: 4})
+        assert not row_span_contains(a, {2: 4})
+        assert not row_span_contains(a, {0: 1, 2: 2})
+        for bad in ({0: 2.5}, {1: 0.25, 0: 2}):
+            with pytest.raises(ValueError, match="not an integer"):
+                row_span_contains(a, bad)
+        for bad in ({3: 1}, {-1: 1}, {3: 0}, {"1": 3}, {1.0: 3}, {0: 2, 7: 1}):
+            with pytest.raises(DimensionMismatch):
+                row_span_contains(a, bad)
+        with pytest.raises(DimensionMismatch):
+            row_span_contains(IntMatrix.zeros(0, 2), {0: 0, 2: 0})
+
     @settings(max_examples=200, deadline=None)
     @given(small_matrices)
     def test_row_span_hnf_is_the_nonzero_hermite_rows(self, a):

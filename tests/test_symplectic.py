@@ -1,14 +1,19 @@
 """Symplectic generators, exterior-cube action, contraction, and the commutant."""
 
 import random
+from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfalg import intlinalg
 from surfalg.intlinalg import IntMatrix
 from surfalg.symplectic import (
     ExtVector,
+    RoundtripReport,
     SpGenerator,
     SymplecticSpace,
     commutant_dimension,
@@ -96,6 +101,72 @@ class TestLambda3:
             for m in word[1:]:
                 rhs = rhs @ lambda3_action(m)
             assert lhs == rhs
+
+
+def _det3(m, rows, cols) -> int:
+    (r0, r1, r2), (c0, c1, c2) = rows, cols
+    return (
+        m[r0][c0] * (m[r1][c1] * m[r2][c2] - m[r1][c2] * m[r2][c1])
+        - m[r0][c1] * (m[r1][c0] * m[r2][c2] - m[r1][c2] * m[r2][c0])
+        + m[r0][c2] * (m[r1][c0] * m[r2][c1] - m[r1][c1] * m[r2][c0])
+    )
+
+
+def _minors_action(m):
+    """The exterior-cube matrix entry by entry as 3x3 minors of the dense
+    rows: the reference for `lambda3_action`."""
+    trips = tuple(combinations(range(m.rows), 3))
+    ent = m.entries
+    return IntMatrix([[_det3(ent, r, c) for c in trips] for r in trips], cols=len(trips))
+
+
+def _square(n, kind, rng):
+    """An n x n integer matrix: dense, sparse like a generator, or singular."""
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    if kind == "sparse":
+        rows = [[x if rng.random() < 0.2 else 0 for x in row] for row in rows]
+    elif kind == "singular" and n:
+        i, j, k = rng.randrange(n), rng.randrange(n), rng.randint(-2, 2)
+        # row i a multiple of row j (the zero row when i == j or k == 0)
+        rows[i] = [k * x if i != j else 0 for x in rows[j]]
+    return IntMatrix(rows, cols=n)
+
+
+square_cases = st.tuples(
+    st.integers(0, 7), st.sampled_from(["dense", "sparse", "singular"]), st.randoms(use_true_random=False)
+)
+
+
+class TestLambda3MatchesMinors:
+    @settings(max_examples=200, deadline=None)
+    @given(square_cases)
+    def test_equals_the_minor_formula(self, case):
+        n, kind, rng = case
+        m = _square(n, kind, rng)
+        act = lambda3_action(m)
+        assert act == _minors_action(m)
+        assert act.shape == (comb(n, 3), comb(n, 3))
+        assert all(type(x) is int and x for row in act.sparse_rows for x in row.values())
+
+    @settings(max_examples=100, deadline=None)
+    @given(square_cases, st.sampled_from(["dense", "sparse", "singular"]))
+    def test_cauchy_binet(self, case, other_kind):
+        n, kind, rng = case
+        a, b = _square(n, kind, rng), _square(n, other_kind, rng)
+        assert lambda3_action(a @ b) == lambda3_action(a) @ lambda3_action(b)
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_generators(self, g):
+        for gen in sp_generators(g):
+            assert lambda3_action(gen) == _minors_action(gen.matrix)
+
+    def test_singular_and_small(self):
+        assert lambda3_action(IntMatrix.zeros(5, 5)) == IntMatrix.zeros(10, 10)
+        assert lambda3_action(IntMatrix.identity(2)).shape == (0, 0)
+        assert lambda3_action(IntMatrix.zeros(0, 0)).shape == (0, 0)
+        assert lambda3_action(IntMatrix([[2, 0, 0], [0, 3, 0], [1, 1, 5]])) == IntMatrix([[30]])
+        with pytest.raises(ValueError):
+            lambda3_action(IntMatrix([[1, 0, 0]]))
 
 
 class TestContraction:
@@ -245,6 +316,89 @@ class TestRoundtrip:
         assert not bool(rep)
 
 
+@lru_cache(maxsize=None)
+def _minors_actions(g):
+    return tuple(_minors_action(gen.matrix) for gen in sp_generators(g))
+
+
+def _dense_roundtrip(v, g):
+    """Reference roundtrip: every row of v @ A.T, for the minor-formula
+    actions A, tested as a dense vector against v's own rows."""
+    n = comb(2 * g, 3)
+    invariant = True
+    vt = v.transpose()
+    for act in _minors_actions(g):
+        image = (act @ vt).transpose()
+        for row in image.entries:
+            if not intlinalg.row_span_contains(v, row):
+                invariant = False
+                break
+        if not invariant:
+            break
+    summand = intlinalg.is_direct_summand(v, n)
+    if not (invariant and summand):
+        return RoundtripReport(invariant, summand, None)
+    return RoundtripReport(invariant, summand, intlinalg.same_row_span(intlinalg.saturate(v, n), v))
+
+
+def _submodule(g, kind, rng):
+    """Rows of a submodule of the cube at genus g, of the given kind."""
+    n = comb(2 * g, 3)
+    if kind == "random":
+        return IntMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 6))], cols=n)
+    if kind == "rank-deficient":
+        r = rng.randint(1, 3)
+        basis = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(r)]
+        coeffs = IntMatrix([[rng.randint(-2, 2) for _ in range(r)] for _ in range(r + rng.randint(1, 3))])
+        return coeffs @ IntMatrix(basis, cols=n)
+    if kind == "johnson":
+        v = _random_unimodular(rng, 2 * g) @ johnson_image(g)
+        scale = rng.choice([1, 1, 2])  # a doubled copy is invariant but no summand
+        return IntMatrix([[scale * x for x in row] for row in v.entries], cols=n)
+    if kind == "johnson-plus-tail":
+        # one more row, supported on the last columns, so its Hermite row
+        # comes after the invariant ones
+        tail = [0] * (n - 3) + [rng.randint(-2, 2) for _ in range(3)]
+        return IntMatrix(list((_random_unimodular(rng, 2 * g) @ johnson_image(g)).entries) + [tail], cols=n)
+    if kind == "contraction-kernel":
+        k = intlinalg.kernel(contraction_matrix(SymplecticSpace(g)))
+        return _random_unimodular(rng, k.rows) @ k
+    raise ValueError(kind)
+
+
+class TestRoundtripMatchesDenseLoop:
+    @pytest.mark.parametrize("g", [2, 3])
+    @pytest.mark.parametrize(
+        "kind", ["random", "rank-deficient", "johnson", "johnson-plus-tail", "contraction-kernel"]
+    )
+    def test_reports_agree(self, g, kind):
+        rng = random.Random(1000 * g + len(kind))
+        reports = []
+        for _ in range(12 if kind in ("johnson", "contraction-kernel") else 40):
+            v = _submodule(g, kind, rng)
+            # the same submodule with some rows repeated, in shuffled order
+            rows = list(v.entries)
+            rows += [rng.choice(rows) for _ in range(rng.randint(1, 3))] if rows else []
+            rng.shuffle(rows)
+            repeated = IntMatrix(rows, cols=v.cols)
+            for w in (v, repeated):
+                rep = summand_correspondence_roundtrip(w, g)
+                assert rep == _dense_roundtrip(w, g)
+                reports.append(rep)
+        invariant = [rep.invariant for rep in reports]
+        if kind in ("johnson", "contraction-kernel"):
+            assert all(invariant)
+        elif g == 3:
+            assert not all(invariant)
+        if kind == "johnson":
+            assert {rep.summand for rep in reports} == {True, False}
+
+    def test_zero_rows(self):
+        n = comb(6, 3)
+        for v in (IntMatrix.zeros(0, n), IntMatrix.zeros(2, n)):
+            assert summand_correspondence_roundtrip(v, 3) == _dense_roundtrip(v, 3)
+
+
 def _random_unimodular(rng, n):
     m = [[int(r == c) for c in range(n)] for r in range(n)]
     for _ in range(3 * n):
@@ -252,7 +406,7 @@ def _random_unimodular(rng, n):
         if i != j:
             k = rng.randint(-2, 2)
             m[i] = [x + k * y for x, y in zip(m[i], m[j])]
-    return IntMatrix(m)
+    return IntMatrix(m, cols=n)
 
 
 def test_wedge3_signs():
@@ -289,3 +443,25 @@ def test_theta_section_shape():
     space = SymplecticSpace(3)
     s = theta_section_matrix(space)
     assert s.shape == (20, 6)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_labels_and_indices_are_inverse_bijections(g):
+    space = SymplecticSpace(g)
+    labels = [space.label(i) for i in range(2 * g)]
+    assert labels == [f"a{k}" for k in range(1, g + 1)] + [f"b{k}" for k in range(1, g + 1)]
+    assert [space.index_of(x) for x in labels] == list(range(2 * g))
+
+
+@pytest.mark.parametrize("bad", [-1, 6, 7, 1.0, "1", None])
+def test_label_refuses_an_index_outside_the_basis(bad):
+    with pytest.raises(ValueError):
+        SymplecticSpace(3).label(bad)
+
+
+@pytest.mark.parametrize(
+    "bad", ["a0", "b0", "a4", "b4", "c1", "a", "", "a01", " a1", "a1 ", "A1", "a-1", "a+1", 1, None]
+)
+def test_index_of_refuses_a_label_outside_the_basis(bad):
+    with pytest.raises(ValueError):
+        SymplecticSpace(3).index_of(bad)
