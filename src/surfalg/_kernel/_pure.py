@@ -9,6 +9,12 @@ inhomogeneous tail); with max_len >= 0 words beyond that length are dropped,
 which makes leftmost rewriting terminating, and the leading word never
 overlaps itself, so the normal form is unique.
 
+No work is done past max_len: a replacement that would make the word longer
+than max_len is skipped, not rewritten to nothing, and mul_reduce never forms
+a product word longer than max_len.  A word longer than max_len reduces to the
+empty polynomial without a memo entry, so the memo holds only words of length
+at most max_len.
+
 Inputs need not be reduced: reduce_terms and mul_reduce reduce every word
 they meet.  mul_reduce groups its second factor's words by length once per
 call, so under a degree cap it visits only the pairs of lengths the cap
@@ -30,8 +36,7 @@ def reduce_word(word, lead0, lead1, rhs_words, rhs_coeffs, memo, max_len=-1):
     if cached is not None:
         return cached
     if 0 <= max_len < len(word):
-        memo[word] = {}
-        return memo[word]
+        return {}
     pos = -1
     for i in range(len(word) - 1):
         if word[i] == lead0 and word[i + 1] == lead1:
@@ -42,8 +47,13 @@ def reduce_word(word, lead0, lead1, rhs_words, rhs_coeffs, memo, max_len=-1):
     else:
         pre = word[:pos]
         suf = word[pos + 2 :]
+        # pre + rw + suf has len(word) - 2 + len(rw) letters: skip an rw
+        # longer than room, whose replacement would exceed max_len
+        room = max_len - len(word) + 2
         acc = {}
         for rw, rc in zip(rhs_words, rhs_coeffs):
+            if 0 <= max_len and room < len(rw):
+                continue
             part = reduce_word(
                 pre + rw + suf, lead0, lead1, rhs_words, rhs_coeffs, memo, max_len
             )
@@ -82,10 +92,14 @@ def mul_reduce(a, b, max_degree, lead0, lead1, rhs_words, rhs_coeffs, memo, max_
 
     The inputs need not be reduced.  Product words longer than max_degree are
     dropped before reduction (pass a negative max_degree for no truncation);
-    max_len is the rewrite cutoff and must match the memo's.  b's terms are
-    grouped by word length once per call, and each term of a walks only the
-    groups short enough to keep, so a rejected pair costs nothing.
+    max_len is the rewrite cutoff and must match the memo's.  A word longer
+    than max_len reduces to nothing, so with max_len >= 0 the cap is
+    min(max_degree, max_len).  b's terms are grouped by word length once per
+    call, and each term of a walks only the groups short enough to keep, so a
+    rejected pair costs nothing.
     """
+    if 0 <= max_len and not 0 <= max_degree <= max_len:
+        max_degree = max_len
     by_len = {}
     for wb, cb in b.items():
         if cb:

@@ -358,27 +358,55 @@ def hall_commutator_words(genus: int, degree: int) -> list[GroupWord]:
     return _realize_hall_words(genus, degree, None)
 
 
+@lru_cache(maxsize=None)
+def _hall_table(genus: int):
+    """The free Lie algebra on the 2g letters and the genus's realized Hall
+    words, {Lyndon word: GroupWord}, filled lazily by `_hall_word`."""
+    return free_lie_algebra(2 * genus), {}
+
+
+def _hall_word(genus: int, word: tuple[int, ...]) -> GroupWord:
+    """Hall word of a Lyndon word: its generator for a letter, else the
+    commutator [u, v] of its standard factors' Hall words, built once."""
+    fl, table = _hall_table(genus)
+    out = table.get(word)
+    if out is None:
+        if len(word) == 1:
+            out = GroupWord.generator(genus, word[0])
+        else:
+            u, v = fl.standard_factorization(word)
+            out = _hall_word(genus, u).commutator(_hall_word(genus, v))
+        table[word] = out
+    return out
+
+
+def _seed(genus: int, word: tuple[int, ...], ring: GroupRingTruncation) -> GroupWord:
+    """Hall word of a Lyndon word, with its expansion in ring's cache.
+
+    An uncached [u, v] is expanded by commutator_raw from the expansions of
+    u and v, seeded first; an expansion already cached is left as it is.
+    """
+    x = _hall_word(genus, word)
+    if len(word) > 1 and x.letters not in ring._cache:
+        u, v = _hall_table(genus)[0].standard_factorization(word)
+        ring._cache[x.letters] = ring.commutator_raw(_seed(genus, u, ring), _seed(genus, v, ring))
+    return x
+
+
 def _realize_hall_words(
     genus: int, degree: int, ring: GroupRingTruncation | None
 ) -> list[GroupWord]:
-    """Commutator words of the degree-d bracketings, built from their factors.
+    """Commutator words of the degree-d bracketings, in basis order.
 
-    With a ring, every [u, v] met on the way is expanded by commutator_raw
-    from the cached expansions of u and v and stored in the ring's cache, so
-    expand_raw on the returned words is a cache hit.
+    Each Hall word is built once per genus (`_hall_word`) and shared by every
+    caller and every ring.  With a ring, every commutator met in the
+    bracketing is also expanded in that ring (`_seed`), so expand_raw on the
+    returned words is a cache hit.
     """
-    fl = free_lie_algebra(2 * genus)
-
-    def realize(tree) -> GroupWord:
-        if isinstance(tree, int):
-            return GroupWord.generator(genus, tree)
-        u, v = realize(tree[0]), realize(tree[1])
-        word = u.commutator(v)
-        if ring is not None and word.letters not in ring._cache:
-            ring._cache[word.letters] = ring.commutator_raw(u, v)
-        return word
-
-    return [realize(fl.bracketing(w)) for w in fl.basis_words(degree)]
+    words = _hall_table(genus)[0].basis_words(degree)
+    if ring is None:
+        return [_hall_word(genus, w) for w in words]
+    return [_seed(genus, w, ring) for w in words]
 
 
 @dataclass(frozen=True)

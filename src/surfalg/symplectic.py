@@ -444,7 +444,8 @@ def summand_correspondence_roundtrip(v: IntMatrix, g: int) -> RoundtripReport:
     verdict depends only on the row span L, so all are taken on its Hermite
     basis; invariance tests, with `intlinalg.row_span_contains`, only the
     moved part of each basis row's image, a sparse combination of the rows
-    of A.T - I cached per genus.
+    of A.T - I cached per genus.  An empty moved part lies in every lattice,
+    so it is not tested.
     """
     space = SymplecticSpace(g)
     n = len(space.triples())
@@ -455,11 +456,8 @@ def summand_correspondence_roundtrip(v: IntMatrix, g: int) -> RoundtripReport:
     # action A moves a row r of h to r @ A.T, which lies in L iff its moved
     # part r @ (A.T - I) does.
     h = intlinalg.row_span_hnf(v)
-    invariant = all(
-        intlinalg.row_span_contains(h, _moved_part(r, moved))
-        for moved in _moved_rows(g)
-        for r in h.sparse_rows
-    )
+    moved_parts = (_moved_part(r, moved) for moved in _moved_rows(g) for r in h.sparse_rows)
+    invariant = all(not part or intlinalg.row_span_contains(h, part) for part in moved_parts)
     summand = intlinalg.is_direct_summand(h, n)
     if not (invariant and summand):
         return RoundtripReport(invariant, summand, None)

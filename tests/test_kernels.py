@@ -105,5 +105,175 @@ def test_dispatch_reports_implementation():
 
 def test_pure_kernel_drops_beyond_cutoff():
     lead, rw, rc = inhomogeneous_rule(2)
-    out = reduce_word((0,) * 9, lead[0], lead[1], rw, rc, {}, 4)
-    assert out == {}
+    memo = {}
+    assert reduce_word((0,) * 9, lead[0], lead[1], rw, rc, memo, 4) == {}
+    assert reduce_terms({(3, 2, 0, 1, 0): 5}, lead[0], lead[1], rw, rc, memo, 4) == {}
+    assert memo == {}
+
+
+# The kernel as it stood when every overflowing replacement was still
+# rewritten (to nothing) and memoized, and mul_reduce formed product words up
+# to max_degree whatever max_len was: the oracle for the kernel that skips
+# that work.
+
+
+def oracle_reduce_word(word, lead0, lead1, rhs_words, rhs_coeffs, memo, max_len=-1):
+    cached = memo.get(word)
+    if cached is not None:
+        return cached
+    if 0 <= max_len < len(word):
+        memo[word] = {}
+        return memo[word]
+    pos = -1
+    for i in range(len(word) - 1):
+        if word[i] == lead0 and word[i + 1] == lead1:
+            pos = i
+            break
+    if pos < 0:
+        result = {word: 1}
+    else:
+        pre = word[:pos]
+        suf = word[pos + 2 :]
+        acc = {}
+        for rw, rc in zip(rhs_words, rhs_coeffs):
+            part = oracle_reduce_word(
+                pre + rw + suf, lead0, lead1, rhs_words, rhs_coeffs, memo, max_len
+            )
+            for w2, c2 in part.items():
+                val = acc.get(w2, 0) + rc * c2
+                if val:
+                    acc[w2] = val
+                else:
+                    del acc[w2]
+        result = acc
+    memo[word] = result
+    return result
+
+
+def oracle_reduce_terms(terms, lead0, lead1, rhs_words, rhs_coeffs, memo, max_len=-1):
+    acc = {}
+    for w, c in terms.items():
+        if not c:
+            continue
+        for w2, c2 in oracle_reduce_word(
+            w, lead0, lead1, rhs_words, rhs_coeffs, memo, max_len
+        ).items():
+            val = acc.get(w2, 0) + c * c2
+            if val:
+                acc[w2] = val
+            else:
+                acc.pop(w2, None)
+    return acc
+
+
+def oracle_mul_reduce(a, b, max_degree, lead0, lead1, rhs_words, rhs_coeffs, memo, max_len=-1):
+    by_len = {}
+    for wb, cb in b.items():
+        if cb:
+            group = by_len.get(len(wb))
+            if group is None:
+                by_len[len(wb)] = [(wb, cb)]
+            else:
+                group.append((wb, cb))
+    groups = sorted(by_len.items())
+    acc = {}
+    for wa, ca in a.items():
+        if not ca:
+            continue
+        room = max_degree - len(wa)
+        for lb, group in groups:
+            if 0 <= max_degree and room < lb:
+                break
+            for wb, cb in group:
+                coeff = ca * cb
+                for w2, c2 in oracle_reduce_word(
+                    wa + wb, lead0, lead1, rhs_words, rhs_coeffs, memo, max_len
+                ).items():
+                    val = acc.get(w2, 0) + coeff * c2
+                    if val:
+                        acc[w2] = val
+                    else:
+                        del acc[w2]
+    return acc
+
+
+def random_tailed_rule(rng, genus, cutoff):
+    """The graded rule plus one to three tail words of lengths 3..6.
+
+    Without a cutoff the tails avoid both leading letters, so no replacement
+    can create the leading word and rewriting terminates; under a cutoff any
+    letters will do.
+    """
+    lead, words, coeffs = graded_rule(genus)
+    letters = [l for l in range(2 * genus) if cutoff >= 0 or l not in lead]
+    tails = {}
+    for _ in range(rng.randint(1, 3)):
+        tails[tuple(rng.choice(letters) for _ in range(rng.randint(3, 6)))] = rng.choice(
+            [-3, -2, -1, 1, 2, 3]
+        )
+    return lead, words + tuple(tails), coeffs + tuple(tails.values())
+
+
+class LoggingMemo(dict):
+    """A memo that records the longest word looked up in it."""
+
+    longest = 0
+
+    def get(self, word, default=None):
+        self.longest = max(self.longest, len(word))
+        return dict.get(self, word, default)
+
+
+CUTOFFS = (-1, 2, 3, 4, 5, 6)
+
+
+@pytest.mark.parametrize("cutoff", CUTOFFS)
+def test_kernel_matches_oracle_and_memoizes_within_cutoff(cutoff):
+    # caps run from -1 to 7, so above every cutoff too; under a cutoff the
+    # memo must hold no longer word, and a call whose input words fit the
+    # cutoff (every mul_reduce call) must not even look one up
+    rng = random.Random(7000 + cutoff)
+    for _ in range(12):
+        genus = rng.randint(1 if cutoff >= 0 else 2, 3)
+        lead, rw, rc = random_tailed_rule(rng, genus, cutoff)
+        rule = (lead[0], lead[1], rw, rc)
+        memo, oracle_memo = LoggingMemo(), {}
+        for _ in range(30):
+            memo.longest = 0
+            kind = rng.randrange(3)
+            if kind == 0:
+                word = tuple(rng.randrange(2 * genus) for _ in range(rng.randint(0, 8)))
+                longest_input = len(word)
+                got = reduce_word(word, *rule, memo, cutoff)
+                want = oracle_reduce_word(word, *rule, oracle_memo, cutoff)
+            elif kind == 1:
+                terms = random_poly(rng, genus, max_len=8)
+                longest_input = max(map(len, terms), default=0)
+                got = reduce_terms(terms, *rule, memo, cutoff)
+                want = oracle_reduce_terms(terms, *rule, oracle_memo, cutoff)
+            else:
+                a, b = random_poly(rng, genus), random_poly(rng, genus, max_len=3)
+                cap = rng.randint(-1, 7)
+                longest_input = 0
+                got = mul_reduce(a, b, cap, *rule, memo, cutoff)
+                want = oracle_mul_reduce(a, b, cap, *rule, oracle_memo, cutoff)
+            assert got == want
+            if cutoff >= 0:
+                assert all(len(w) <= cutoff for w in memo)
+                if longest_input <= cutoff:
+                    assert memo.longest <= cutoff
+
+
+def test_ring_memo_stays_within_truncation():
+    from surfalg.nilpotent import GroupWord, center_of_quotient, group_ring_truncation
+
+    assert center_of_quotient(2, 5).passed
+    ring = group_ring_truncation(2, 5)
+    rng = random.Random(5)
+    for _ in range(20):
+        x = GroupWord(2, [rng.choice([1, -1]) * rng.randint(1, 4) for _ in range(rng.randint(1, 9))])
+        ring.inverse_raw(x)
+        ring.mul_raw(ring.expand_raw(x), ring.expand_raw(x.inverse()))
+    ring.reduce_raw(random_poly(rng, 2, max_len=9, terms=20))
+    assert ring._memo
+    assert max(map(len, ring._memo)) <= 5

@@ -25,8 +25,10 @@ from surfalg.nilpotent import (
     hall_commutator_words,
     surface_relator,
     verify_identity_viii,
+    _hall_table,
     _realize_hall_words,
 )
+from surfalg.freelie import free_lie_algebra
 from surfalg.surface import build
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -395,6 +397,39 @@ class TestCommutatorRoute:
         for x in self.hall_words(ring):
             for y in generators(genus):
                 assert ring.commutator_raw(x, y) == four_factor(x, y)
+
+
+def tree_realization(genus, degree):
+    """Hall words by the earlier route: each basis word's bracketing tree
+    realized by free multiplication, every subtree built afresh."""
+    fl = free_lie_algebra(2 * genus)
+
+    def realize(tree):
+        if isinstance(tree, int):
+            return GroupWord.generator(genus, tree)
+        return realize(tree[0]).commutator(realize(tree[1]))
+
+    return [realize(fl.bracketing(w)) for w in fl.basis_words(degree)]
+
+
+HALL_DEGREES = [(2, d) for d in range(1, 6)] + [(3, d) for d in range(1, 5)]
+
+
+class TestHallTable:
+    """The per-genus table of Hall words against the bracketing trees."""
+
+    def test_matches_tree_realization(self):
+        for genus, d in HALL_DEGREES:
+            assert hall_commutator_words(genus, d) == tree_realization(genus, d)
+
+    @pytest.mark.parametrize("genus,top", [(2, 5), (3, 4)])
+    def test_independent_of_degree_order_and_ring(self, genus, top):
+        want = {d: tree_realization(genus, d) for d in range(1, top + 1)}
+        for order in (range(top, 0, -1), range(1, top + 1)):
+            for ring in (None, GroupRingTruncation(genus, top)):
+                _hall_table.cache_clear()
+                for d in order:
+                    assert _realize_hall_words(genus, d, ring) == want[d]
 
 
 class TestRankCertificates:
