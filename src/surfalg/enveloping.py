@@ -176,7 +176,7 @@ class NcPoly:
         return not self._terms
 
     def coefficient(self, word: Iterable[int]) -> int:
-        return self._terms.get(tuple(word), 0)
+        return self._terms.get(intlinalg._int_word(word), 0)
 
     def degree_component(self, degree: int) -> dict:
         return {w: c for w, c in self._terms.items() if len(w) == degree}
@@ -316,6 +316,21 @@ def series_product(rank_by_degree: dict, max_degree: int) -> list[int]:
 def target_series(genus: int, max_degree: int) -> list[int]:
     """Coefficients through t^K of 1 / (1 - 2g t + t^2)."""
     return [hilbert_dimension(genus, d) for d in range(max_degree + 1)]
+
+
+def lcs_ranks(genus: int, max_degree: int) -> list[int]:
+    """Ranks r_1..r_K of the lower-central-series quotients in closed form.
+
+    They are the unique solution of prod_k (1 - t^k)^(-r_k) = 1 / (1 - 2g t
+    + t^2) through t^K (Labute, J. Algebra 14, 1970).  The t^k coefficient of
+    the product is r_k plus that of the factors below k, so each r_k is
+    peeled off in turn.  No graded algebra is built.
+    """
+    target = target_series(genus, max_degree)
+    ranks: dict[int, int] = {}
+    for k in range(1, max_degree + 1):
+        ranks[k] = target[k] - series_product(ranks, k)[k]
+    return list(ranks.values())
 
 
 @dataclass(frozen=True)

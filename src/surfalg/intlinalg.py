@@ -14,6 +14,7 @@ mutate it or the stored rows.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set as AbstractSet
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -92,8 +93,8 @@ class IntMatrix:
 
     @classmethod
     def diagonal(cls, values: Sequence[int]) -> "IntMatrix":
-        n = len(values)
-        return cls([[values[i] if i == j else 0 for j in range(n)] for i in range(n)])
+        values = _int_row(values)
+        return cls._of(({i: x} if x else {} for i, x in enumerate(values)), len(values))
 
     @property
     def rows(self) -> int:
@@ -205,9 +206,14 @@ def _dense_row(row: dict, cols: int) -> tuple[int, ...]:
 
 def _int_row(row: Iterable) -> tuple[int, ...]:
     """row as an int tuple: strings are parsed by int(), and any other entry
-    that int() would change (a float with a fraction part) is refused.
+    that int() would change (a float with a fraction part) is refused.  A
+    mapping or set is refused whole: it has no entry order (a dict would be
+    read as its keys), so pass a dict's .values() where they are meant.
 
     The one coercion rule for integer input across the package."""
+    # the ABC test is slow, and the hot callers pass lists and tuples
+    if not isinstance(row, (tuple, list)) and isinstance(row, (Mapping, AbstractSet)):
+        raise ValueError(f"{type(row).__name__} {row!r} has no entry order; give a sequence")
     row = tuple(row)
     out = tuple(map(int, row))
     if out != row:

@@ -317,7 +317,7 @@ class MagnusSeries:
         return dict(self._terms)
 
     def coefficient(self, word) -> int:
-        return self._terms.get(tuple(word), 0)
+        return self._terms.get(intlinalg._int_word(word), 0)
 
     def degree_component(self, d: int) -> dict:
         return {w: c for w, c in self._terms.items() if len(w) == d}
@@ -416,7 +416,6 @@ class LayerVerdict:
     layer: int
     spanning_count: int
     central_count: int
-    rank: int | None
 
     @property
     def centralizes(self) -> bool:
@@ -436,14 +435,13 @@ class QuotientCenterReport:
         )
 
 
-def center_of_quotient(
-    genus: int, k: int, layer_ranks: dict[int, int] | None = None
-) -> QuotientCenterReport:
+def center_of_quotient(genus: int, k: int) -> QuotientCenterReport:
     """Which lower-central layers centralize the class-k quotient.
 
     Spanning cosets of each layer j <= k, realized as commutator words, are
     tested against all 2g generators modulo the (k+1)st term.  Passing means
-    exactly the top layer j = k centralizes.
+    exactly the top layer j = k centralizes.  The verdicts use the Magnus
+    expansions alone; no graded algebra is built.
 
     A word x commutes with y in the quotient exactly when the defect
     E(x)E(y) - E(y)E(x) vanishes through degree k; for x in layer j it
@@ -469,14 +467,7 @@ def center_of_quotient(
                 continue
             if not any(ring.defect_raw(x, y) for y in gens):
                 central += 1
-        verdicts.append(
-            LayerVerdict(
-                layer=j,
-                spanning_count=len(spanning),
-                central_count=central,
-                rank=None if layer_ranks is None else layer_ranks.get(j),
-            )
-        )
+        verdicts.append(LayerVerdict(j, len(spanning), central))
     return QuotientCenterReport(genus, k, tuple(verdicts))
 
 
@@ -484,25 +475,19 @@ def center_of_quotient(
 class RankCertificate:
     """Rank of the degree-k leading coefficients of the layer's expansions.
 
-    Equality with the graded rank certifies that the expansion separates
-    classes at this level: the spanning commutator words hit a module of full
-    graded rank, so no class collapses invisibly.
+    Equality with the graded rank (for example `enveloping.lcs_ranks`)
+    certifies that the expansion separates classes at this level: the
+    spanning commutator words hit a module of full graded rank, so no class
+    collapses invisibly.  The caller makes that comparison.
     """
 
     genus: int
     level: int
     word_count: int
     rank: int
-    expected_rank: int | None
-
-    @property
-    def passed(self) -> bool:
-        return self.expected_rank is None or self.rank == self.expected_rank
 
 
-def graded_rank_certificate(
-    genus: int, level: int, expected_rank: int | None = None
-) -> RankCertificate:
+def graded_rank_certificate(genus: int, level: int) -> RankCertificate:
     if level < 1:
         raise ValueError("level must be at least 1")
     ring = group_ring_truncation(genus, level)
@@ -515,7 +500,7 @@ def graded_rank_certificate(
             raise CertificateError(f"lower-degree term in a layer-{level} word")
         rows.append({index[ww]: c for ww, c in series.items() if ww})
     got = intlinalg.sparse_rank(rows)
-    return RankCertificate(genus, level, len(words), got, expected_rank)
+    return RankCertificate(genus, level, len(words), got)
 
 
 def verify_identity_viii(p: GroupWord, gw: GroupWord, n: GroupWord) -> bool:

@@ -172,7 +172,10 @@ class PullbackGroup:
     Generators are the boolean basis monomials followed by one free generator
     per wedge triple; the relation matrix presents the subgroup structure and
     invariants classifies the group.  q_reconstructed records that the
-    cubic-to-wedge formula is this artifact's reconstruction.
+    cubic-to-wedge formula is this artifact's reconstruction.  The torsion
+    exponent (the number of Z/2 factors) and its count without the constant
+    monomial's factor are read off the computed invariants, never from the
+    dim B2 formula they are checked against.
     """
 
     genus: int
@@ -180,13 +183,19 @@ class PullbackGroup:
     boolean_generators: tuple[Monomial, ...]
     relations: IntMatrix
     invariants: FgAbGroup
-    torsion_exponent: int
-    torsion_exponent_without_constant: int
     q_reconstructed: bool = True
 
     @property
     def free_rank(self) -> int:
         return self.invariants.free_rank
+
+    @property
+    def torsion_exponent(self) -> int:
+        return len(self.invariants.torsion)
+
+    @property
+    def torsion_exponent_without_constant(self) -> int:
+        return self.torsion_exponent - 1
 
 
 def _pullback_relations(g: int, kill_a: bool) -> tuple[tuple[Monomial, ...], IntMatrix]:
@@ -230,8 +239,6 @@ def pullback_d1(g: int) -> PullbackGroup:
         boolean_generators=mons,
         relations=rel,
         invariants=inv,
-        torsion_exponent=bool_dimension(g, 2),
-        torsion_exponent_without_constant=bool_dimension(g, 2) - 1,
     )
 
 
@@ -247,8 +254,6 @@ def pullback_d3(g: int) -> PullbackGroup:
         boolean_generators=mons,
         relations=rel,
         invariants=inv,
-        torsion_exponent=bool_dimension(g, 2) - 1,
-        torsion_exponent_without_constant=bool_dimension(g, 2) - 2,
     )
 
 

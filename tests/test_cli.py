@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from surfalg import cli, torelli
+from surfalg import cli, intlinalg, surface, torelli
 from surfalg.intlinalg import IntMatrix
 from surfalg.symplectic import SymplecticSpace, contraction_matrix, generator_actions
 from surfalg.cli import (
@@ -206,6 +206,45 @@ class TestFaultIsolation:
         assert [c.status for c in rep.checks] == ["fail"] * 3
         assert rep.checks[0].actual == "error: CertificateError: forged certificate"
         assert not rep.passed
+
+
+def _masked(report):
+    out = report.to_dict()
+    out["version"] = None
+    for c in out["checks"]:
+        c["runtime_ms"] = None
+    return out
+
+
+def test_nilpotent_suite_never_builds_the_graded_algebra(monkeypatch):
+    config = RunConfig(genus=2, max_degree=5, suites=("nilpotent",))
+    plain = run(config)
+
+    def forbidden(g, K):
+        raise AssertionError("the nilpotent suite built the graded algebra")
+
+    monkeypatch.setattr(surface, "build", forbidden)
+    rep = run(config)
+    assert [c.status for c in rep.checks] == ["pass"] * 5
+    assert _masked(rep) == _masked(plain)
+
+
+def test_torsion_entries_read_the_computed_group(monkeypatch):
+    # with one Z/2 factor dropped from every pullback group, both torsion
+    # counts differ from their dim B2 formulas; neither entry may compare a
+    # formula with itself
+    real = intlinalg.cokernel
+
+    def forged(a):
+        group = real(a)
+        return intlinalg.FgAbGroup(group.free_rank, group.torsion[1:])
+
+    monkeypatch.setattr(intlinalg, "cokernel", forged)
+    rep = run(RunConfig(genus=2, max_degree=3, suites=("torelli-h1",)))
+    for check in rep.checks[:2]:
+        assert check.status == "fail"
+        for entry in ("torsion_exponent", "torsion_exponent_without_constant_convention"):
+            assert check.actual[entry] == check.expected[entry] - 1, entry
 
 
 def test_equivariance_trials_count_what_dense_products_count(monkeypatch):

@@ -12,6 +12,7 @@ from surfalg.enveloping import (
     center_in_degree_assoc,
     enveloping_algebra,
     hilbert_dimension,
+    lcs_ranks,
     letter_name,
     reduce,
     relation_element,
@@ -19,7 +20,7 @@ from surfalg.enveloping import (
     target_series,
 )
 from surfalg.freelie import free_lie_algebra
-from surfalg.surface import omega_element
+from surfalg.surface import build, omega_element
 
 
 def brute_reduced_count(genus, degree):
@@ -190,6 +191,19 @@ class TestSeries:
         # genus 3 ranks 6, 14, 64 give 1, 6, 35, 204
         assert series_product({1: 6, 2: 14, 3: 64}, 3) == [1, 6, 35, 204]
         assert target_series(3, 3) == [1, 6, 35, 204]
+
+    @pytest.mark.parametrize("genus,K", [(2, 7), (3, 5), (4, 4)])
+    def test_lcs_ranks_match_the_graded_build(self, genus, K):
+        built = build(genus, K).ranks()
+        for k in range(1, K + 1):
+            assert lcs_ranks(genus, k) == list(built[:k])
+
+    @pytest.mark.parametrize("genus", [2, 3, 4, 7])
+    def test_lcs_ranks_solve_the_series_identity(self, genus):
+        K = 9
+        ranks = lcs_ranks(genus, K)
+        assert len(ranks) == K and all(r > 0 for r in ranks)
+        assert series_product(dict(enumerate(ranks, 1)), K) == target_series(genus, K)
 
 
 def test_letter_names():

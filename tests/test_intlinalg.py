@@ -639,6 +639,12 @@ class TestSparseStorageMatchesDenseOracles:
             assert IntMatrix.zeros(2, n).entries == ((0,) * n,) * 2
             assert IntMatrix.zeros(n, 2).is_zero()
         assert IntMatrix.diagonal([2, 0, -1]).entries == ((2, 0, 0), (0, 0, 0), (0, 0, -1))
+        assert IntMatrix.diagonal(["3", 2.0]).entries == ((3, 0), (0, 2))
+        with pytest.raises(ValueError, match="not an integer"):
+            IntMatrix.diagonal([1, 0.5])
+        # the empty diagonal is the 0 x 0 matrix, like identity(0) and zeros(0, 0)
+        assert IntMatrix.diagonal([]) == IntMatrix.identity(0) == IntMatrix.zeros(0, 0)
+        assert IntMatrix.diagonal(()).shape == (0, 0)
         assert not IntMatrix.identity(1).is_zero()
         assert repr(IntMatrix([[1, 0], [0, 3]])) == "IntMatrix([[1, 0], [0, 3]])"
 
@@ -783,13 +789,41 @@ class TestNonIntegralInput:
         assert row_span_contains(a, [4.0, "0"])
         assert not row_span_contains(a, ["3", 0])
 
+    def test_unordered_rows(self):
+        # a dict row would be read as its keys and a set row in arbitrary
+        # order, so every dense coordinate entry point refuses both whole; a
+        # dict's .values() is still a row
+        from surfalg.surface import GradedElement, build
+        from surfalg.symplectic import ExtVector, SymplecticSpace
+
+        alg = build(2, 2)
+        space = SymplecticSpace(2)
+        makers = {
+            "matrix": lambda r: IntMatrix([r]),
+            "diagonal": lambda r: IntMatrix.diagonal(r),
+            "lift": lambda r: alg.lift(1, r),
+            "graded": lambda r: GradedElement(alg, {1: r}),
+            "ext": lambda r: ExtVector(space, r),
+        }
+        for name, make in makers.items():
+            for row in ({0: 5, 1: 1, 2: 0, 3: 7}, {5, 1, 0, 7}, frozenset({5, 1, 0, 7})):
+                with pytest.raises(ValueError, match="no entry order"):
+                    make(row)
+            values = {0: 5, 1: 1, 2: 0, 3: 7}.values()
+            assert make(values) == make([5, 1, 0, 7]), name
+        # a dict is row_span_contains's sparse form; a set has no such reading
+        a = IntMatrix([[2, 0, 0, 0]])
+        with pytest.raises(ValueError, match="no entry order"):
+            row_span_contains(a, {0, 2, 4, 6})
+        assert row_span_contains(a, {0: 4}) and not row_span_contains(a, [4, 1, 0, 0])
+
     def test_string_words(self):
         # a string word would be read one character per letter ('10' as the
         # letters 1, 0), so every word entry point refuses it whole; string
         # entries of a sequence are still parsed
         from surfalg.enveloping import enveloping_algebra
         from surfalg.freelie import HallWord, free_lie_algebra
-        from surfalg.nilpotent import GroupWord
+        from surfalg.nilpotent import GroupWord, expand
         from surfalg.torelli import BoolPoly
 
         refusals = {
@@ -798,6 +832,8 @@ class TestNonIntegralInput:
             "element": lambda w: free_lie_algebra(12).element({w: 1}),
             "group": lambda w: GroupWord(6, w),
             "bool": lambda w: BoolPoly(6, [w]),
+            "poly-coefficient": lambda w: enveloping_algebra(6).poly({(1, 2): 3}).coefficient(w),
+            "magnus-coefficient": lambda w: expand(GroupWord(6, (2, 3)), 2).coefficient(w),
         }
         for name, make in refusals.items():
             for word in ("12", b"12"):

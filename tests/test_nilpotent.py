@@ -231,16 +231,15 @@ class TestEqualInQuotient:
 
 class TestCenterOfQuotient:
     def test_g2_k2(self):
-        rep = center_of_quotient(2, 2, layer_ranks={1: 4, 2: 5})
+        rep = center_of_quotient(2, 2)
         assert rep.passed
         top = rep.layers[-1]
-        assert top.layer == 2 and top.centralizes and top.rank == 5
+        assert top.layer == 2 and top.centralizes
         assert not rep.layers[0].centralizes
 
     def test_g3_k2(self):
-        rep = center_of_quotient(3, 2, layer_ranks={1: 6, 2: 14})
+        rep = center_of_quotient(3, 2)
         assert rep.passed
-        assert rep.layers[-1].rank == 14
 
     def test_g2_k3(self):
         rep = center_of_quotient(2, 3)
@@ -355,7 +354,7 @@ def full_commutator_verdicts(genus, k):
         for x in spanning:
             if all(ring.commutator_raw(x, y) == {(): 1} for y in gens):
                 central += 1
-        verdicts.append(LayerVerdict(j, len(spanning), central, None))
+        verdicts.append(LayerVerdict(j, len(spanning), central))
     return tuple(verdicts)
 
 
@@ -438,14 +437,14 @@ class TestRankCertificates:
         [(2, 1, 4), (2, 2, 5), (2, 3, 16), (2, 4, 45), (3, 2, 14), (3, 3, 64)],
     )
     def test_expansion_separates_layers(self, genus, level, expected):
-        cert = graded_rank_certificate(genus, level, expected_rank=expected)
-        assert cert.passed, cert
+        cert = graded_rank_certificate(genus, level)
+        assert cert.rank == expected, cert
 
     def test_rank_matches_surface_build(self):
         alg = build(2, 4)
         for level in (2, 3):
-            cert = graded_rank_certificate(2, level, expected_rank=alg.rank(level))
-            assert cert.passed
+            cert = graded_rank_certificate(2, level)
+            assert cert.rank == alg.rank(level)
 
     def test_word_counts_are_witt_numbers(self):
         assert len(hall_commutator_words(2, 3)) == 20
