@@ -20,6 +20,13 @@ they meet.  mul_reduce groups its second factor's words by length once per
 call, so under a degree cap it visits only the pairs of lengths the cap
 admits.
 
+mul_letter multiplies a polynomial by one letter, on either side, and is the
+exception: its input must already be reduced.  A reduced word w can then meet
+the leading word only at the junction with the letter x, so w*x goes through
+reduce_word only when (w[-1], x) is the leading pair, and x*w only when
+(x, w[0]) is; every other product word is already in normal form and is
+appended as it is.
+
 Callers own the memo dict and must key it per (rule, max_len); the same memo
 may be shared across calls only when those two are fixed.
 """
@@ -128,4 +135,37 @@ def mul_reduce(a, b, max_degree, lead0, lead1, rhs_words, rhs_coeffs, memo, max_
                         acc[w2] = val
                     else:
                         del acc[w2]
+    return acc
+
+
+def mul_letter(
+    terms, letter, on_left, max_degree, lead0, lead1, rhs_words, rhs_coeffs, memo, max_len=-1
+):
+    """Reduced truncated product letter*terms (on_left) or terms*letter.
+
+    terms must be reduced, with no zero coefficient.  Every product word is
+    formed first; those are distinct, and only a word that forms the leading
+    word at the junction is then taken out and rewritten.  Its normal form
+    has no leading word, so it never meets another junction word.  Product
+    words longer than min(max_degree, max_len) are dropped, as in mul_reduce.
+    """
+    if 0 <= max_len and not 0 <= max_degree <= max_len:
+        max_degree = max_len
+    x = (letter,)
+    room = max_degree if max_degree >= 0 else float("inf")
+    if on_left:
+        acc = {x + w: c for w, c in terms.items() if len(w) < room}
+        junction = [w for w in acc if len(w) > 1 and w[1] == lead1] if letter == lead0 else ()
+    else:
+        acc = {w + x: c for w, c in terms.items() if len(w) < room}
+        junction = [w for w in acc if len(w) > 1 and w[-2] == lead0] if letter == lead1 else ()
+    for xw in junction:
+        c = acc.pop(xw)
+        # inline, as in mul_reduce
+        for w2, c2 in reduce_word(xw, lead0, lead1, rhs_words, rhs_coeffs, memo, max_len).items():
+            val = acc.get(w2, 0) + c * c2
+            if val:
+                acc[w2] = val
+            else:
+                del acc[w2]
     return acc

@@ -102,6 +102,9 @@ class RunConfig:
         unknown = [s for s in self.suites if s not in SUITE_NAMES]
         if unknown:
             raise ConfigError(f"unknown suites: {', '.join(unknown)}")
+        repeated = sorted({s for s in self.suites if self.suites.count(s) > 1})
+        if repeated:
+            raise ConfigError(f"repeated suites: {', '.join(repeated)}")
         if self.genus < 2:
             raise ConfigError("genus must be at least 2")
         if self.max_degree < 2:
@@ -496,7 +499,7 @@ def _suite_lemma_summand(s: _Session) -> list[CheckResult]:
         base = johnson_image(g)
         n = 2 * g
         good = 0
-        trials = 100
+        trials = min(cfg.trials, 100)
         for _ in range(trials):
             u = [[int(r == c) for c in range(n)] for r in range(n)]
             for _ in range(3 * n):

@@ -16,7 +16,7 @@ from math import comb
 from typing import Iterable
 
 from . import intlinalg
-from ._kernel import mul_reduce, reduce_terms, reduce_word
+from ._kernel import mul_letter, mul_reduce, reduce_terms, reduce_word
 from .errors import CertificateError, ResourceLimitExceeded
 from .freelie import LieElement
 
@@ -86,6 +86,13 @@ class EnvelopingAlgebra:
     def mul_raw(self, a: dict, b: dict, max_degree: int = -1) -> dict:
         return mul_reduce(
             a, b, max_degree, self.lead[0], self.lead[1],
+            self.rhs_words, self.rhs_coeffs, self._memo,
+        )
+
+    def mul_letter_raw(self, terms: dict, letter: int, on_left: bool) -> dict:
+        """letter*terms (on_left) or terms*letter for reduced terms."""
+        return mul_letter(
+            terms, letter, on_left, -1, self.lead[0], self.lead[1],
             self.rhs_words, self.rhs_coeffs, self._memo,
         )
 
@@ -265,9 +272,11 @@ def center_in_degree_assoc(genus: int, degree: int) -> list[NcPoly]:
     """Basis of degree-d elements commuting with every generator.
 
     Each letter x gives one map into degree d+1, w -> w*x - x*w on the
-    reduced words, and the basis is their common integer left kernel; the
-    maps are built one at a time and stop once the kernel is empty.  Empty
-    for d >= 1 is the degreewise shadow of the quotient having scalar center.
+    reduced words, built by letter products (a reduced word meets the
+    rewrite rule only next to x), and the basis is their common integer left
+    kernel; the maps are built one at a time and stop once the kernel is
+    empty.  Empty for d >= 1 is the degreewise shadow of the quotient having
+    scalar center.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
@@ -280,11 +289,10 @@ def center_in_degree_assoc(genus: int, degree: int) -> list[NcPoly]:
     index = alg.word_index(degree + 1)
 
     def commutator_map(letter: int) -> list[dict]:
-        gen = {(letter,): 1}
         rows = []
         for w in basis:
-            img = alg.mul_raw({w: 1}, gen)
-            intlinalg._axpy(img, alg.mul_raw(gen, {w: 1}), -1)
+            img = alg.mul_letter_raw({w: 1}, letter, False)
+            intlinalg._axpy(img, alg.mul_letter_raw({w: 1}, letter, True), -1)
             rows.append({index[ww]: cc for ww, cc in img.items()})
         return rows
 

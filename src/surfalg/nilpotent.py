@@ -16,6 +16,15 @@ order), the converse is certified by the rank certificates below.
 
 The graded pieces of this filtered model are the graded quotient's reduced
 words, which is why the two modules share their word bases.
+
+Every product by a single letter goes through the kernel's `mul_letter`,
+which rewrites only at the junction of a reduced word and the letter.  A
+generator step is acc + acc*x; an inverse step solves Y + Y*x = acc for
+Y = acc*(1 + x)^-1 degree by degree, so no geometric series is multiplied.
+A commutator [x, y] expands as 1 + (XY - YX) X^-1 Y^-1; the defect XY - YX
+starts in some degree m, so the inverses are formed only through degree
+K - m (a generator's by the same solve), and in the top layer (m = K) not
+at all.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from typing import Iterable
 
 from . import intlinalg
 from .enveloping import enveloping_algebra, hilbert_dimension, letter_name
-from ._kernel import mul_reduce, reduce_terms
+from ._kernel import mul_letter, mul_reduce, reduce_terms
 from .errors import CertificateError, ResourceLimitExceeded
 from .freelie import free_lie_algebra
 
@@ -136,6 +145,13 @@ def surface_relator(genus: int) -> GroupWord:
     return out
 
 
+def _generator_letter(word: GroupWord) -> int | None:
+    """The 0-based letter index of a word that is a single generator, else None."""
+    if len(word.letters) == 1 and word.letters[0] > 0:
+        return word.letters[0] - 1
+    return None
+
+
 def _free_mul(a: dict, b: dict, max_degree: int) -> dict:
     """Truncated product in the free tensor algebra (no rewriting)."""
     out: dict = {}
@@ -168,20 +184,21 @@ class GroupRingTruncation:
         self.truncation = truncation
         self.graded = enveloping_algebra(genus)
         self.lead = self.graded.lead
-        self._letter_series: dict[int, dict] = {}
-        for i in range(2 * genus):
-            self._letter_series[i + 1] = {(): 1, (i,): 1}
-            self._letter_series[-(i + 1)] = {
-                (i,) * j: (-1) ** j for j in range(truncation + 1)
-            }
         if truncation == 1:
             # no two-letter words exist, so the rule below can never fire;
             # keep the graded relation as an inert placeholder
             defect = dict(self.graded.relation)
         else:
+            # in the free algebra: 1 + x for a generator, the truncated
+            # geometric series 1 - x + x^2 - ... for an inverse
             relator_image = {(): 1}
             for l in surface_relator(genus).letters:
-                relator_image = _free_mul(relator_image, self._letter_series[l], truncation)
+                i = abs(l) - 1
+                if l > 0:
+                    series = {(): 1, (i,): 1}
+                else:
+                    series = {(i,) * j: (-1) ** j for j in range(truncation + 1)}
+                relator_image = _free_mul(relator_image, series, truncation)
             defect = dict(relator_image)
             intlinalg._axpy(defect, {(): 1}, -1)
             # the two-letter part of the defect is the graded relation, with
@@ -211,6 +228,15 @@ class GroupRingTruncation:
             self.rhs_words, self.rhs_coeffs, self._memo, self.truncation,
         )
 
+    def mul_letter_raw(self, terms: dict, letter: int, on_left: bool, degree: int | None = None) -> dict:
+        """letter*terms (on_left) or terms*letter for reduced terms and a
+        0-based letter index, cut at the given degree (default: K)."""
+        return mul_letter(
+            terms, letter, on_left, self.truncation if degree is None else degree,
+            self.lead[0], self.lead[1], self.rhs_words, self.rhs_coeffs,
+            self._memo, self.truncation,
+        )
+
     def reduced_words(self, degree: int):
         return self.graded.reduced_words(degree)
 
@@ -227,29 +253,69 @@ class GroupRingTruncation:
             return cached
         acc = {(): 1}
         for l in word.letters:
-            acc = self.mul_raw(acc, self._letter_series[l])
+            if l > 0:
+                step = self.mul_letter_raw(acc, l - 1, False)
+                intlinalg._axpy(step, acc, 1)
+                acc = step
+            else:
+                acc = self._solve_inverse_letter(acc, -l - 1)
         self._cache[word.letters] = acc
         return acc
+
+    def _solve_inverse_letter(self, acc: dict, letter: int) -> dict:
+        """acc * (1 + x)^-1 for reduced acc: the Y with Y + Y*x = acc.
+
+        Y*x raises every degree by at least one, so Y's degree-d part is
+        acc's minus the degree-d part of Y*x from the degrees below.  The
+        terms are bucketed by degree and each is multiplied by x once.
+        """
+        k = self.truncation
+        buckets: list[dict] = [{} for _ in range(k + 1)]
+        for w, c in acc.items():
+            buckets[len(w)][w] = c
+        out: dict = {}
+        for d, part in enumerate(buckets):
+            if not part:
+                continue
+            out.update(part)
+            if d < k:
+                for w, c in self.mul_letter_raw(part, letter, False).items():
+                    bucket = buckets[len(w)]
+                    val = bucket.get(w, 0) - c
+                    if val:
+                        bucket[w] = val
+                    else:
+                        del bucket[w]
+        return out
 
     def expand(self, word: GroupWord) -> "MagnusSeries":
         return MagnusSeries(self, self.expand_raw(word))
 
-    def inverse_raw(self, word: GroupWord) -> dict:
-        """Expansion of word^-1 from the cached expansion of word.
+    def inverse_raw(self, word: GroupWord, degree: int | None = None) -> dict:
+        """Expansion of word^-1 through the given degree (default: K), from
+        the cached expansion of word.
 
         With X = E(word), X^-1 = sum_n (1 - X)^n; 1 - X has no constant
-        term, so the powers vanish beyond the truncation and the sum stops.
-        The result is cached under the inverse word's letters.
+        term, so the powers vanish beyond the degree and the sum stops.
+        Reduction never shortens a word, so products cut at the degree give
+        the full inverse cut there.  Only the full-truncation inverse is
+        cached, under the inverse word's letters.
         """
+        k = self.truncation
+        cap = k if degree is None else min(degree, k)
         key = tuple(-l for l in reversed(word.letters))
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        step = {w: -c for w, c in self.expand_raw(word).items() if w}
+        if cap == k:
+            cached = self._cache.get(key)
+            if cached is not None:
+                return cached
+        step = {w: -c for w, c in self.expand_raw(word).items() if w and len(w) <= cap}
+        rule = (self.lead[0], self.lead[1], self.rhs_words, self.rhs_coeffs, self._memo, k)
         acc, power = {(): 1}, step
         while power:
             intlinalg._axpy(acc, power, 1)
-            power = self.mul_raw(power, step)
+            power = mul_reduce(power, step, cap, *rule)
+        if cap < k:
+            return {w: c for w, c in acc.items() if len(w) <= cap}
         self._cache[key] = acc
         return acc
 
@@ -261,16 +327,32 @@ class GroupRingTruncation:
         the truncation, product words longer than d are dropped before
         reduction and the result is cut to degree d.  Reduction never
         shortens a word, so that equals the full defect truncated to degree d.
+
+        When y (or x) is a generator, Y - 1 is its letter l, and the defect
+        is X*l - l*X (or l*Y - Y*l): two letter products, in which the
+        constant term's products cancel.
         """
         k = self.truncation
         cap = k if degree is None else min(degree, k)
-        xs = {w: c for w, c in self.expand_raw(x).items() if w}
-        ys = {w: c for w, c in self.expand_raw(y).items() if w}
-        rule = (self.lead[0], self.lead[1], self.rhs_words, self.rhs_coeffs, self._memo, k)
-        out = mul_reduce(xs, ys, cap, *rule)
-        intlinalg._axpy(out, mul_reduce(ys, xs, cap, *rule), -1)
+        lx, ly = _generator_letter(x), _generator_letter(y)
+        if ly is not None:
+            out = self._letter_defect(self.expand_raw(x), ly, cap)
+        elif lx is not None:
+            out = {w: -c for w, c in self._letter_defect(self.expand_raw(y), lx, cap).items()}
+        else:
+            xs = {w: c for w, c in self.expand_raw(x).items() if w}
+            ys = {w: c for w, c in self.expand_raw(y).items() if w}
+            rule = (self.lead[0], self.lead[1], self.rhs_words, self.rhs_coeffs, self._memo, k)
+            out = mul_reduce(xs, ys, cap, *rule)
+            intlinalg._axpy(out, mul_reduce(ys, xs, cap, *rule), -1)
         if cap < k:
             out = {w: c for w, c in out.items() if len(w) <= cap}
+        return out
+
+    def _letter_defect(self, terms: dict, letter: int, cap: int) -> dict:
+        """terms*x - x*terms for reduced terms, product words cut at cap."""
+        out = self.mul_letter_raw(terms, letter, False, cap)
+        intlinalg._axpy(out, self.mul_letter_raw(terms, letter, True, cap), -1)
         return out
 
     def commutator_raw(self, x: GroupWord, y: GroupWord) -> dict:
@@ -282,11 +364,26 @@ class GroupRingTruncation:
         inverse is formed.  For x in the jth and y in the ith lower-central
         term, X - 1 and Y - 1 start in degrees j and i, so the defect and
         [x, y] - 1 start in degree i + j, as the filtration demands.
+
+        If the defect starts in degree m, only the inverses' terms through
+        degree K - m reach the truncated product, so X^-1 and Y^-1 are
+        formed only that far (`inverse_raw` with a degree, not cached).  A
+        factor that is a generator x needs no inverse: the product by
+        (1 + x)^-1 is the inverse-letter solve of `expand_raw`.  At m = K,
+        E([x, y]) = 1 + defect and no product is formed at all.
         """
         defect = self.defect_raw(x, y)
         if not defect:
             return {(): 1}
-        out = self.mul_raw(self.mul_raw(defect, self.inverse_raw(x)), self.inverse_raw(y))
+        room = self.truncation - min(map(len, defect))
+        out = defect
+        if room:
+            for w in (x, y):
+                letter = _generator_letter(w)
+                if letter is None:
+                    out = self.mul_raw(out, self.inverse_raw(w, room))
+                else:
+                    out = self._solve_inverse_letter(out, letter)
         out[()] = 1  # the defect has no constant term, so neither has out
         return out
 

@@ -58,6 +58,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig(suites=("lie-center", "nonsense"))
 
+    def test_repeated_suite_rejected(self):
+        with pytest.raises(ConfigError, match="repeated suites: nilpotent"):
+            RunConfig(suites=("nilpotent", "lie-center", "nilpotent"))
+
     def test_low_genus_rejected(self):
         with pytest.raises(ConfigError):
             RunConfig(genus=1)
@@ -112,6 +116,21 @@ class TestRun:
             d["version"] = "X"
         assert json.dumps(a) == json.dumps(b)
 
+    def test_roundtrip_trials_follow_the_config(self, monkeypatch):
+        calls = []
+        roundtrip = cli.summand_correspondence_roundtrip
+
+        def counted(*args):
+            calls.append(args)
+            return roundtrip(*args)
+
+        monkeypatch.setattr(cli, "summand_correspondence_roundtrip", counted)
+        rep = run(RunConfig(genus=2, max_degree=3, suites=("lemma-summand",), trials=3))
+        check = {c.name: c for c in rep.checks}["random-summand-roundtrips"]
+        assert check.status == "pass"
+        assert check.expected == 3 and check.actual == 3
+        assert len(calls) == 1 + 3  # johnson-summand-roundtrip, then the trials
+
     def test_text_format(self):
         rep = run(RunConfig(genus=2, max_degree=3, suites=("index-formula",), report_format="text", trials=5))
         text = rep.to_text()
@@ -130,6 +149,8 @@ class TestMain:
     def test_exit_two_on_config_error(self, capsys):
         assert main(["--genus", "1"]) == 2
         assert main(["--suite", "bogus"]) == 2
+        assert main(["--suite", "nilpotent,nilpotent"]) == 2
+        assert main(["--suite", "nilpotent", "--suite", "nilpotent"]) == 2
 
     def test_comma_separated_suites(self, capsys):
         code = main(

@@ -163,6 +163,48 @@ class TestCenter:
         assert center_in_degree_assoc(2, 2) == []
 
 
+class TestCommutatorMapsMatchGenericProducts:
+    """center_in_degree_assoc's letter-product maps against the maps it built
+    with two generic products per (word, letter), kept here as the oracle."""
+
+    @staticmethod
+    def generic_maps(genus, degree):
+        alg = enveloping_algebra(genus)
+        basis = alg.reduced_words(degree)
+        index = alg.word_index(degree + 1)
+        maps = []
+        for letter in range(alg.n_letters):
+            gen = {(letter,): 1}
+            rows = []
+            for w in basis:
+                img = alg.mul_raw({w: 1}, gen)
+                for ww, cc in alg.mul_raw(gen, {w: 1}).items():
+                    img[ww] = img.get(ww, 0) - cc
+                rows.append({index[ww]: cc for ww, cc in img.items() if cc})
+            maps.append(rows)
+        return maps
+
+    @pytest.mark.parametrize("genus,degree", [(g, d) for g in (1, 2, 3) for d in (1, 2, 3, 4)])
+    def test_rows_and_kernel(self, genus, degree, monkeypatch):
+        from surfalg import intlinalg
+
+        seen = []
+        kernel = intlinalg.common_left_kernel
+
+        def recording(n, maps):
+            # every map is built, so each row is compared, not only those
+            # reached before the kernel empties
+            maps = list(maps)
+            seen.extend(maps)
+            return kernel(n, maps)
+
+        monkeypatch.setattr(intlinalg, "common_left_kernel", recording)
+        got = center_in_degree_assoc(genus, degree)
+        assert seen == self.generic_maps(genus, degree)
+        # genus 1 is commutative, so every word of the degree is central
+        assert len(got) == (hilbert_dimension(genus, degree) if genus == 1 else 0)
+
+
 class TestLieCompatibility:
     def test_commutator_realizes_bracket(self):
         # enveloping image of [x, y] equals the associative commutator of the

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from surfalg._kernel import IMPLEMENTATION, mul_reduce, reduce_terms, reduce_word
+from surfalg._kernel import IMPLEMENTATION, mul_letter, mul_reduce, reduce_terms, reduce_word
 
 
 def graded_rule(genus):
@@ -78,6 +78,55 @@ def test_mul_reduce_is_reduced_truncated_product(rule, genus, cutoff):
             for w in got:
                 assert cutoff < 0 or len(w) <= cutoff
                 assert all(w[i : i + 2] != lead for i in range(len(w) - 1))
+
+
+LETTER_CASES = [
+    (rule, genus, cutoff)
+    for rule in (graded_rule, inhomogeneous_rule)
+    for genus in (1, 2, 3)
+    for cutoff in (-1, 2, 3, 4, 5, 6)
+    if not (rule is inhomogeneous_rule and genus == 1 and cutoff < 0)
+]
+
+
+@pytest.mark.parametrize(
+    "rule,genus,cutoff",
+    LETTER_CASES,
+    ids=[f"{r.__name__}-g{g}-cut{c}" for r, g, c in LETTER_CASES],
+)
+def test_mul_letter_matches_mul_reduce(rule, genus, cutoff):
+    # the letter product on reduced input against the generic product with
+    # the one-term polynomial {(x,): 1} on the same side; the two share a memo
+    rng = random.Random(300 * genus + cutoff)
+    lead, rw, rc = rule(genus)
+    rule_args = (lead[0], lead[1], rw, rc)
+    memo = {}
+    for _ in range(25):
+        terms = reduce_terms(random_poly(rng, genus, max_len=6, terms=10), *rule_args, memo, cutoff)
+        for letter in range(2 * genus):
+            x = {(letter,): 1}
+            for cap in range(-1, 7):
+                left = mul_letter(terms, letter, True, cap, *rule_args, memo, cutoff)
+                right = mul_letter(terms, letter, False, cap, *rule_args, memo, cutoff)
+                assert left == mul_reduce(x, terms, cap, *rule_args, memo, cutoff)
+                assert right == mul_reduce(terms, x, cap, *rule_args, memo, cutoff)
+                assert 0 not in left.values() and 0 not in right.values()
+
+
+def test_mul_letter_rewrites_only_at_the_junction():
+    # the leading word is bg*ag = (3, 2) at genus 2; a product word that does
+    # not meet it at the junction is appended without touching the memo
+    lead, rw, rc = graded_rule(2)
+    rule_args = (lead[0], lead[1], rw, rc)
+    terms = {(0, 1): 2, (2, 2): -1, (): 5}
+    memo = LoggingMemo()
+    assert mul_letter(terms, 2, False, -1, *rule_args, memo) == {(0, 1, 2): 2, (2, 2, 2): -1, (2,): 5}
+    assert mul_letter(terms, 1, True, -1, *rule_args, memo) == {(1, 0, 1): 2, (1, 2, 2): -1, (1,): 5}
+    assert memo.longest == 0 and not memo
+    # 3*(2, 2) meets it: only that word is rewritten
+    got = mul_letter(terms, 3, True, -1, *rule_args, memo)
+    assert got == mul_reduce({(3,): 1}, terms, -1, *rule_args, {})
+    assert (3, 2, 2) in memo and (3, 0, 1) not in memo and (3,) not in memo
 
 
 def test_mul_reduce_signature_is_positional():

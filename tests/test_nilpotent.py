@@ -166,6 +166,40 @@ class TestExpand:
             MagnusSeries(ring, {(): 2})
 
 
+def letter_series_expansion(ring, word):
+    """Expansion by the earlier loop: a generic product with 1 + x for a
+    generator and with the truncated geometric series for an inverse."""
+    acc = {(): 1}
+    for l in word.letters:
+        i = abs(l) - 1
+        if l > 0:
+            series = {(): 1, (i,): 1}
+        else:
+            series = {(i,) * j: (-1) ** j for j in range(ring.truncation + 1)}
+        acc = ring.mul_raw(acc, series)
+    return acc
+
+
+def inverse_heavy_word(rng, genus, max_len=9):
+    # three of four letters inverted, so the inverse-letter solve dominates
+    return GroupWord(
+        genus,
+        [rng.choice([1, -1, -1, -1]) * rng.randint(1, 2 * genus) for _ in range(rng.randint(0, max_len))],
+    )
+
+
+EXPANSION_RINGS = [(g, K) for g in (1, 2, 3) for K in range(1, 7)]
+
+
+@pytest.mark.parametrize("genus,K", EXPANSION_RINGS)
+def test_expansion_matches_letter_series_loop(genus, K):
+    rng = random.Random(31 * genus + K)
+    ring = GroupRingTruncation(genus, K)
+    for _ in range(25):
+        w = inverse_heavy_word(rng, genus)
+        assert ring.expand_raw(w) == letter_series_expansion(ring, w)
+
+
 class TestGroupRingModel:
     def test_multiplication_associative(self):
         # truncation commutes with multiplication, so the rewritten product
@@ -384,18 +418,80 @@ class TestCommutatorRoute:
                 assert x.letters in ring._cache
             assert ring.expand_raw(x) == fresh.expand_raw(x)
 
-    def test_commutator_is_four_factor_product(self, genus, K):
-        ring, fresh = GroupRingTruncation(genus, K), GroupRingTruncation(genus, K)
+    @staticmethod
+    def four_factor_route(genus, K):
+        """[x, y] as the product of its four factors, each expanded by the
+        letter-series loop (memoized per word)."""
+        oracle, expansions = GroupRingTruncation(genus, K), {}
+
+        def expansion(w):
+            if w not in expansions:
+                expansions[w] = letter_series_expansion(oracle, w)
+            return expansions[w]
 
         def four_factor(x, y):
-            s = fresh.expand_raw(x)
+            s = expansion(x)
             for w in (y, x.inverse(), y.inverse()):
-                s = fresh.mul_raw(s, fresh.expand_raw(w))
+                s = oracle.mul_raw(s, expansion(w))
             return s
 
+        return four_factor, expansion
+
+    def test_commutator_is_four_factor_product(self, genus, K):
+        ring = GroupRingTruncation(genus, K)
+        four_factor, _ = self.four_factor_route(genus, K)
         for x in self.hall_words(ring):
             for y in generators(genus):
                 assert ring.commutator_raw(x, y) == four_factor(x, y)
+
+    def test_capped_inverses_reach_every_layer(self, genus, K):
+        # pairs of Hall words, at least one not a letter, whose defect starts
+        # in every degree 3..K: the top layer (no product formed) and the
+        # layers below (inverses formed only through K - m)
+        ring = GroupRingTruncation(genus, K)
+        four_factor, expansion = self.four_factor_route(genus, K)
+        layers = {j: _realize_hall_words(genus, j, ring) for j in range(1, K + 1)}
+        rng = random.Random(K)
+        seen = set()
+        for p in range(1, K):
+            for q in range(2, K + 1 - p):
+                for _ in range(6):
+                    x, y = rng.choice(layers[p]), rng.choice(layers[q])
+                    for a, b in ((x, y), (y, x)):
+                        got = ring.commutator_raw(a, b)
+                        assert got == four_factor(a, b)
+                        seen.add(min((len(w) for w in got if w), default=None))
+        assert set(range(3, K + 1)) <= seen
+        # no inverse cut below the truncation was cached as an expansion
+        for letters, terms in ring._cache.items():
+            assert terms == expansion(GroupWord(genus, letters))
+
+    def test_single_letters_of_either_sign(self, genus, K):
+        # only a generator takes the letter routes; an inverse letter, as a
+        # factor of a defect or a commutator, takes the generic ones
+        ring = GroupRingTruncation(genus, K)
+        four_factor, expansion = self.four_factor_route(genus, K)
+        rng = random.Random(genus * K)
+        letters = [GroupWord(genus, (s * l,)) for l in range(1, 2 * genus + 1) for s in (1, -1)]
+        for x in letters:
+            for y in letters + [inverse_heavy_word(rng, genus, 5) for _ in range(3)]:
+                for a, b in ((x, y), (y, x)):
+                    ea, eb = expansion(a), expansion(b)
+                    defect = ring.mul_raw(ea, eb)
+                    for w, c in ring.mul_raw(eb, ea).items():
+                        defect[w] = defect.get(w, 0) - c
+                    assert ring.defect_raw(a, b) == {w: c for w, c in defect.items() if c}
+                    assert ring.commutator_raw(a, b) == four_factor(a, b)
+
+    def test_inverse_through_a_degree_is_the_cut_inverse(self, genus, K):
+        ring = GroupRingTruncation(genus, K)
+        for x in self.hall_words(ring)[:: 7]:
+            full = letter_series_expansion(ring, x.inverse())
+            for d in range(K):
+                assert ring.inverse_raw(x, d) == truncated(full, d)
+                assert x.inverse().letters not in ring._cache
+            assert ring.inverse_raw(x) == full
+            assert ring._cache[x.inverse().letters] == full
 
 
 def tree_realization(genus, degree):
