@@ -24,7 +24,6 @@ from .enveloping import (
     enveloping_algebra,
     hilbert_dimension,
     lcs_ranks,
-    pbw_consistency,
 )
 from .errors import ResourceLimitExceeded
 from .intlinalg import IntMatrix
@@ -43,7 +42,6 @@ from .symplectic import (
     contraction_matrix,
     generator_actions,
     johnson_image,
-    sp_generators,
     summand_correspondence_roundtrip,
 )
 
@@ -236,16 +234,11 @@ def _suite_lie_center(s: _Session) -> list[CheckResult]:
     def ranks():
         return lcs_ranks(cfg.genus, cfg.max_degree), list(s.surface_algebra.ranks())
 
-    def pbw():
-        rep = pbw_consistency(s.surface_algebra)
-        return list(rep.word_side), list(rep.graded_side)
-
     def center():
         rep = surface.verify_center_theorem(s.surface_algebra)
         return [0] * (cfg.max_degree - 1), [dim for _, dim in rep.dims_by_degree]
 
     _run_check(checks, "surface-ranks", "labute-presentation", ranks)
-    _run_check(checks, "pbw-hilbert-identity", "graded-enveloping-series", pbw)
     _run_check(checks, "graded-center-empty", "lcs-center-equality", center)
     return checks
 
@@ -320,6 +313,8 @@ def _suite_nilpotent(s: _Session) -> list[CheckResult]:
         return trials, good
 
     def quotient_centers():
+        if cfg.max_degree < 3:
+            raise ResourceLimitExceeded("no quotient class k with 2 <= k < max degree to test")
         expected, actual = [], []
         for k in range(2, cfg.max_degree):
             rep = center_of_quotient(g, k)
@@ -354,16 +349,9 @@ def _suite_nilpotent(s: _Session) -> list[CheckResult]:
 
 
 def _suite_sp_decomposition(s: _Session) -> list[CheckResult]:
-    cfg = s.config
-    g = cfg.genus
+    g = s.config.genus
     checks: list[CheckResult] = []
     space = SymplecticSpace(g)
-
-    def form_preserved():
-        j = space.form_matrix()
-        gens = sp_generators(g)
-        ok = sum(1 for gen in gens if gen.matrix.transpose() @ j @ gen.matrix == j)
-        return len(gens), ok
 
     def dims():
         c = contraction_matrix(space)
@@ -373,36 +361,17 @@ def _suite_sp_decomposition(s: _Session) -> list[CheckResult]:
         )
 
     def equivariance():
+        # c @ A == M @ c exactly gives c(Av) == M(cv) for every vector v
         c = contraction_matrix(space)
         pairs = generator_actions(g)
         matrix_ok = sum(1 for gen, action in pairs if c @ action == gen.matrix @ c)
-        rng = s.rng("sp-decomposition")
-        n = comb(2 * g, 3)
-        trials = cfg.trials
-        vec_ok = 0
-        # row form: c @ (A @ v) == M @ (c @ v) iff v @ A.T @ c.T == v @ c.T @ M.T
-        ct = c.transpose().sparse_rows
-        transposed = [
-            (gen.matrix.transpose().sparse_rows, action.transpose().sparse_rows) for gen, action in pairs
-        ]
-        for _ in range(trials):
-            mt, at = rng.choice(transposed)
-            v = {j: x for j in range(n) if (x := rng.randint(-5, 5))}
-            lhs = intlinalg._combination(intlinalg._combination(v, at), ct)
-            rhs = intlinalg._combination(intlinalg._combination(v, ct), mt)
-            if lhs == rhs:
-                vec_ok += 1
-        return (
-            {"generators": len(pairs), "vector_trials": trials},
-            {"generators": matrix_ok, "vector_trials": vec_ok},
-        )
+        return {"generators": len(pairs)}, {"generators": matrix_ok}
 
     def commutant():
         if g < 3:
             raise ResourceLimitExceeded("uniqueness certificate is stated for genus >= 3")
         return 2, commutant_dimension(g)
 
-    _run_check(checks, "generators-preserve-form", "symplectic-generators", form_preserved)
     _run_check(checks, "cube-decomposition-dims", "exterior-cube-splitting", dims)
     _run_check(checks, "contraction-equivariance", "equivariant-contraction", equivariance)
     _run_check(checks, "commutant-dimension", "invariant-subspace-uniqueness", commutant)
@@ -413,19 +382,12 @@ def _suite_johnson_image(s: _Session) -> list[CheckResult]:
     g = s.config.genus
     checks: list[CheckResult] = []
 
-    def rank_check():
-        return 2 * g, intlinalg.rank(johnson_image(g))
-
     def unit_factors():
+        # 2g factors, all 1: rank 2g and a direct summand, a partial basis
         factors = intlinalg.snf(johnson_image(g)).nonzero_factors
         return [1] * 2 * g, list(factors)
 
-    def summand():
-        return True, intlinalg.is_direct_summand(johnson_image(g), comb(2 * g, 3))
-
-    _run_check(checks, "johnson-rank", "point-push-johnson-image", rank_check)
     _run_check(checks, "johnson-unit-factors", "partial-basis", unit_factors)
-    _run_check(checks, "johnson-direct-summand", "partial-basis", summand)
     return checks
 
 
@@ -494,24 +456,6 @@ def _suite_lemma_summand(s: _Session) -> list[CheckResult]:
             {"invariant": rep.invariant, "summand": rep.summand, "roundtrip": bool(rep.roundtrip_holds)},
         )
 
-    def random_roundtrips():
-        rng = s.rng("lemma-summand-roundtrip")
-        base = johnson_image(g)
-        n = 2 * g
-        good = 0
-        trials = min(cfg.trials, 100)
-        for _ in range(trials):
-            u = [[int(r == c) for c in range(n)] for r in range(n)]
-            for _ in range(3 * n):
-                i, j = rng.randrange(n), rng.randrange(n)
-                if i != j:
-                    k = rng.randint(-2, 2)
-                    u[i] = [x + k * y for x, y in zip(u[i], u[j])]
-            changed = IntMatrix(u) @ base
-            if bool(summand_correspondence_roundtrip(changed, g)):
-                good += 1
-        return trials, good
-
     def retract_transfer():
         rng = s.rng("lemma-summand-transfer")
         trials = cfg.trials
@@ -535,7 +479,6 @@ def _suite_lemma_summand(s: _Session) -> list[CheckResult]:
         )
 
     _run_check(checks, "johnson-summand-roundtrip", "rational-integral-correspondence", johnson_roundtrip)
-    _run_check(checks, "random-summand-roundtrips", "rational-integral-correspondence", random_roundtrips)
     _run_check(checks, "retract-transfer-property", "split-injection-transfer", retract_transfer)
     return checks
 

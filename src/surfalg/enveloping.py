@@ -10,7 +10,6 @@ normal forms decide congruence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Iterable
@@ -339,33 +338,3 @@ def lcs_ranks(genus: int, max_degree: int) -> list[int]:
     for k in range(1, max_degree + 1):
         ranks[k] = target[k] - series_product(ranks, k)[k]
     return list(ranks.values())
-
-
-@dataclass(frozen=True)
-class PbwReport:
-    """Agreement of the graded ranks with the enveloping word counts."""
-
-    genus: int
-    max_degree: int
-    graded_side: tuple[int, ...]
-    word_side: tuple[int, ...]
-
-    @property
-    def passed(self) -> bool:
-        return self.graded_side == self.word_side
-
-
-def pbw_consistency(surface_algebra, max_degree: int | None = None) -> PbwReport:
-    """Check prod_k (1-t^k)^(-rank_k) == 1/(1 - 2g t + t^2) through t^K.
-
-    Accepts any object exposing genus, max_degree and rank(d) (the surface
-    module's algebra does).
-    """
-    g = surface_algebra.genus
-    K = surface_algebra.max_degree if max_degree is None else max_degree
-    if K > surface_algebra.max_degree:
-        raise ValueError("surface algebra not built that far")
-    ranks = {d: surface_algebra.rank(d) for d in range(1, K + 1)}
-    lhs = series_product(ranks, K)
-    rhs = target_series(g, K)
-    return PbwReport(g, K, tuple(lhs), tuple(rhs))

@@ -345,11 +345,6 @@ def sparse_left_kernel(rows: Sequence[dict]) -> list[dict]:
     return knl
 
 
-def sparse_right_kernel(rows: Sequence[dict], n_unknowns: int) -> list[dict]:
-    """Basis of {y : (rows) y = 0}, as dicts over the unknown indices."""
-    return sparse_left_kernel(_transpose_rows(rows, n_unknowns))
-
-
 def common_left_kernel(n: int, maps: Iterable[Sequence[dict]]) -> list[dict]:
     """Lattice basis, as dicts over range(n), of {x : x @ M == 0 for all M}.
 
@@ -480,12 +475,7 @@ def row_span_contains(a: IntMatrix, vec: Sequence[int] | dict) -> bool:
 
 def kernel(a: IntMatrix) -> IntMatrix:
     """Lattice basis (rows) of {x : a @ x == 0}, x a column vector."""
-    return IntMatrix._of(sparse_right_kernel(a._sparse, a.cols), a.cols)
-
-
-def left_kernel(a: IntMatrix) -> IntMatrix:
-    """Lattice basis (rows) of {c : c @ a == 0}."""
-    return IntMatrix._of(sparse_left_kernel(a._sparse), a.rows)
+    return IntMatrix._of(sparse_left_kernel(_transpose_rows(a._sparse, a.cols)), a.cols)
 
 
 def _is_diagonal(m: IntMatrix) -> bool:

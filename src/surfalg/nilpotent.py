@@ -450,11 +450,6 @@ def equal_in_quotient(u: GroupWord, v: GroupWord, k: int) -> bool:
     return ring.expand(u * v.inverse()).is_one()
 
 
-def hall_commutator_words(genus: int, degree: int) -> list[GroupWord]:
-    """Group commutators realizing the degree-d basis bracketings."""
-    return _realize_hall_words(genus, degree, None)
-
-
 @lru_cache(maxsize=None)
 def _hall_table(genus: int):
     """The free Lie algebra on the 2g letters and the genus's realized Hall
@@ -490,20 +485,15 @@ def _seed(genus: int, word: tuple[int, ...], ring: GroupRingTruncation) -> Group
     return x
 
 
-def _realize_hall_words(
-    genus: int, degree: int, ring: GroupRingTruncation | None
-) -> list[GroupWord]:
+def _realize_hall_words(genus: int, degree: int, ring: GroupRingTruncation) -> list[GroupWord]:
     """Commutator words of the degree-d bracketings, in basis order.
 
     Each Hall word is built once per genus (`_hall_word`) and shared by every
-    caller and every ring.  With a ring, every commutator met in the
-    bracketing is also expanded in that ring (`_seed`), so expand_raw on the
-    returned words is a cache hit.
+    caller and every ring.  Every commutator met in the bracketing is also
+    expanded in ring (`_seed`), so expand_raw on the returned words is a
+    cache hit.
     """
-    words = _hall_table(genus)[0].basis_words(degree)
-    if ring is None:
-        return [_hall_word(genus, w) for w in words]
-    return [_seed(genus, w, ring) for w in words]
+    return [_seed(genus, w, ring) for w in _hall_table(genus)[0].basis_words(degree)]
 
 
 @dataclass(frozen=True)
@@ -547,7 +537,9 @@ def center_of_quotient(genus: int, k: int) -> QuotientCenterReport:
     nonzero cut already proves non-centrality.  Each word below layer k - 1
     is therefore first tested at degree j + 1; only a word that no generator
     witnesses there is tested at the full degree k, so central_count stays
-    exact.
+    exact.  A top-layer word passes the layer check only with no term below
+    degree k, so its defects start in degree k + 1 and it is counted central
+    with no product formed.
     """
     if k < 2:
         raise ValueError("the class-1 quotient is abelian; need k >= 2")
@@ -560,6 +552,10 @@ def center_of_quotient(genus: int, k: int) -> QuotientCenterReport:
         for x in spanning:
             if any(w and len(w) < j for w in ring.expand_raw(x)):
                 raise CertificateError(f"commutator word expands below its layer {j}")
+            if j == k:
+                # no term below degree k, so every defect starts past the truncation
+                central += 1
+                continue
             if j + 1 < k and any(ring.defect_raw(x, y, j + 1) for y in gens):
                 continue
             if not any(ring.defect_raw(x, y) for y in gens):

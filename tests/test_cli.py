@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from surfalg import cli, intlinalg, surface, torelli
+from surfalg import cli, intlinalg, surface, symplectic, torelli
 from surfalg.intlinalg import IntMatrix
-from surfalg.symplectic import SymplecticSpace, contraction_matrix, generator_actions
+from surfalg.symplectic import SpGenerator, SymplecticSpace, contraction_matrix, generator_actions
 from surfalg.cli import (
     ConfigError,
     NonDivisibleError,
@@ -116,7 +116,9 @@ class TestRun:
             d["version"] = "X"
         assert json.dumps(a) == json.dumps(b)
 
-    def test_roundtrip_trials_follow_the_config(self, monkeypatch):
+    def test_one_roundtrip_whatever_the_trials(self, monkeypatch):
+        # every verdict is taken on the row span, so a change of basis of the
+        # Johnson image would only recompute johnson-summand-roundtrip
         calls = []
         roundtrip = cli.summand_correspondence_roundtrip
 
@@ -125,11 +127,21 @@ class TestRun:
             return roundtrip(*args)
 
         monkeypatch.setattr(cli, "summand_correspondence_roundtrip", counted)
-        rep = run(RunConfig(genus=2, max_degree=3, suites=("lemma-summand",), trials=3))
-        check = {c.name: c for c in rep.checks}["random-summand-roundtrips"]
-        assert check.status == "pass"
-        assert check.expected == 3 and check.actual == 3
-        assert len(calls) == 1 + 3  # johnson-summand-roundtrip, then the trials
+        for trials in (3, 1000):
+            calls.clear()
+            rep = run(RunConfig(genus=2, max_degree=3, suites=("lemma-summand",), trials=trials))
+            assert [c.name for c in rep.checks] == ["johnson-summand-roundtrip", "retract-transfer-property"]
+            assert rep.passed
+            assert len(calls) == 1
+
+    def test_quotient_centers_skipped_at_degree_two(self):
+        # range(2, K) is empty at K = 2, so there is no layer to test
+        rep = run(RunConfig(genus=2, max_degree=2, suites=("nilpotent",), trials=5))
+        check = {c.name: c for c in rep.checks}["quotient-center-layers"]
+        assert check.status == "skipped"
+        assert check.expected is None and check.actual.startswith("skipped: ")
+        assert [c.status for c in rep.checks].count("skipped") == 1
+        assert rep.passed
 
     def test_text_format(self):
         rep = run(RunConfig(genus=2, max_degree=3, suites=("index-formula",), report_format="text", trials=5))
@@ -159,7 +171,7 @@ class TestMain:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         names = {c["name"] for c in payload["checks"]}
-        assert "euler-index-equal" in names and "johnson-rank" in names
+        assert "euler-index-equal" in names and "johnson-unit-factors" in names
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -224,7 +236,7 @@ class TestFaultIsolation:
 
         monkeypatch.setattr(cli, "johnson_image", broken)
         rep = run(RunConfig(genus=2, max_degree=3, suites=("johnson-image",), trials=5))
-        assert [c.status for c in rep.checks] == ["fail"] * 3
+        assert [c.status for c in rep.checks] == ["fail"]
         assert rep.checks[0].actual == "error: CertificateError: forged certificate"
         assert not rep.passed
 
@@ -269,27 +281,51 @@ def test_torsion_entries_read_the_computed_group(monkeypatch):
 
 
 def test_equivariance_trials_count_what_dense_products_count(monkeypatch):
-    # every other action is forged (its rows reversed), so some vector trials
-    # fail; replaying the check's random draws with the former dense column
-    # products must count the same successes
-    g, trials = 2, 200
+    # every other action is forged (its rows reversed); testing each
+    # generator on every unit vector with dense column products must count
+    # the same equivariant generators as the check's matrix products
+    g = 2
     pairs = tuple(
         (gen, act if k % 2 else IntMatrix(act.entries[::-1]))
         for k, (gen, act) in enumerate(generator_actions(g))
     )
     monkeypatch.setattr(cli, "generator_actions", lambda _: pairs)
-    config = RunConfig(genus=g, max_degree=3, suites=("sp-decomposition",), trials=trials, seed=11)
+    config = RunConfig(genus=g, max_degree=3, suites=("sp-decomposition",), trials=5)
     check = next(c for c in run(config).checks if c.name == "contraction-equivariance")
     c = contraction_matrix(SymplecticSpace(g))
-    rng = cli._Session(config).rng("sp-decomposition")
-    dense_ok = 0
-    for _ in range(trials):
-        gen, action = rng.choice(pairs)
-        v = IntMatrix([[rng.randint(-5, 5) for _ in range(c.cols)]]).transpose()
-        dense_ok += c @ (action @ v) == gen.matrix @ (c @ v)
-    assert 0 < dense_ok < trials
+    units = [IntMatrix([[int(i == j) for i in range(c.cols)]]).transpose() for j in range(c.cols)]
+    dense_ok = sum(
+        all(c @ (action @ v) == gen.matrix @ (c @ v) for v in units) for gen, action in pairs
+    )
+    assert dense_ok == len(pairs) // 2
     assert check.status == "fail"
-    assert check.actual == {"generators": len(pairs) // 2, "vector_trials": dense_ok}
+    assert check.expected == {"generators": len(pairs)}
+    assert check.actual == {"generators": dense_ok}
+
+
+def test_a_form_breaking_generator_fails_the_suite(monkeypatch):
+    # SpGenerator checks M.T J M == J when it is built.  The zero matrix
+    # breaks the form yet commutes with the contraction, so that check alone
+    # stands between it and a passing report.
+    def forged(g):
+        space = SymplecticSpace(g)
+        return (SpGenerator(space, "upper-ii", 0, 0, IntMatrix.zeros(2 * g, 2 * g)),)
+
+    monkeypatch.setattr(symplectic, "_sp_generators", forged)
+    symplectic._generator_actions.cache_clear()
+    try:
+        rep = run(RunConfig(genus=3, max_degree=3, suites=("sp-decomposition",), trials=5))
+    finally:
+        symplectic._generator_actions.cache_clear()
+    statuses = {c.name: c.status for c in rep.checks}
+    assert statuses == {
+        "cube-decomposition-dims": "pass",
+        "contraction-equivariance": "fail",
+        "commutant-dimension": "fail",
+    }
+    for check in rep.checks[1:]:
+        assert check.actual == "error: ValueError: upper-ii(0,0) does not preserve the form"
+    assert not rep.passed
 
 
 def test_optimized_end_to_end_run_passes():
@@ -307,5 +343,5 @@ def test_optimized_end_to_end_run_passes():
     statuses = {c["name"]: c["status"] for c in checks}
     # the uniqueness certificate is stated for genus >= 3 only
     assert statuses.pop("commutant-dimension") == "skipped"
-    assert len(statuses) == 28
+    assert len(statuses) == 23
     assert set(statuses.values()) == {"pass"}

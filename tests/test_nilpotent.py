@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfalg._kernel import mul_reduce
+from surfalg.errors import CertificateError
 from surfalg.nilpotent import (
     GroupRingTruncation,
     GroupWord,
@@ -22,7 +23,6 @@ from surfalg.nilpotent import (
     generators,
     graded_rank_certificate,
     group_ring_truncation,
-    hall_commutator_words,
     surface_relator,
     verify_identity_viii,
     _hall_table,
@@ -290,6 +290,30 @@ class TestCenterOfQuotient:
         top = rep.layers[-1]
         assert top.spanning_count == top.central_count == 1554
 
+    def test_top_layer_forms_no_defect(self, monkeypatch):
+        # a top-layer word that passes the layer check is central by degree
+        seen = []
+        defect = GroupRingTruncation.defect_raw
+
+        def recording(ring, x, y, *args):
+            seen.append(x.letters)
+            return defect(ring, x, y, *args)
+
+        monkeypatch.setattr(GroupRingTruncation, "defect_raw", recording)
+        rep = center_of_quotient(2, 4)
+        top = {x.letters for x in _realize_hall_words(2, 4, group_ring_truncation(2, 4))}
+        assert seen and not top & set(seen)
+        assert rep.passed and rep.layers[-1].central_count == len(top) == 60
+
+    def test_top_layer_still_checked(self, monkeypatch):
+        # the layer check is what makes the top layer central, so a forged
+        # term below degree k must still be refused there
+        ring = group_ring_truncation(2, 3)
+        x = _realize_hall_words(2, 3, ring)[0]
+        monkeypatch.setitem(ring._cache, x.letters, {(): 1, (0, 2): 1})
+        with pytest.raises(CertificateError, match="below its layer 3"):
+            center_of_quotient(2, 3)
+
     def test_layer_check_survives_optimize(self):
         # a forged expansion with a term below its layer must still be caught
         # when -O strips assert statements
@@ -297,11 +321,12 @@ class TestCenterOfQuotient:
             """
             import sys
             from surfalg.nilpotent import (
-                center_of_quotient, group_ring_truncation, hall_commutator_words,
+                _realize_hall_words, center_of_quotient, group_ring_truncation,
             )
 
-            x = hall_commutator_words(2, 2)[0]
-            group_ring_truncation(2, 3)._cache[x.letters] = {(): 1, (0,): 1}
+            ring = group_ring_truncation(2, 3)
+            x = _realize_hall_words(2, 2, ring)[0]
+            ring._cache[x.letters] = {(): 1, (0,): 1}
             try:
                 center_of_quotient(2, 3)
             except AssertionError as exc:
@@ -515,13 +540,13 @@ class TestHallTable:
 
     def test_matches_tree_realization(self):
         for genus, d in HALL_DEGREES:
-            assert hall_commutator_words(genus, d) == tree_realization(genus, d)
+            assert _realize_hall_words(genus, d, group_ring_truncation(genus, d)) == tree_realization(genus, d)
 
     @pytest.mark.parametrize("genus,top", [(2, 5), (3, 4)])
     def test_independent_of_degree_order_and_ring(self, genus, top):
         want = {d: tree_realization(genus, d) for d in range(1, top + 1)}
         for order in (range(top, 0, -1), range(1, top + 1)):
-            for ring in (None, GroupRingTruncation(genus, top)):
+            for ring in (GroupRingTruncation(genus, top), GroupRingTruncation(genus, top - 1)):
                 _hall_table.cache_clear()
                 for d in order:
                     assert _realize_hall_words(genus, d, ring) == want[d]
@@ -543,8 +568,8 @@ class TestRankCertificates:
             assert cert.rank == alg.rank(level)
 
     def test_word_counts_are_witt_numbers(self):
-        assert len(hall_commutator_words(2, 3)) == 20
-        assert len(hall_commutator_words(3, 2)) == 15
+        assert len(_realize_hall_words(2, 3, group_ring_truncation(2, 3))) == 20
+        assert len(_realize_hall_words(3, 2, group_ring_truncation(3, 2))) == 15
 
 
 class TestIdentityViii:

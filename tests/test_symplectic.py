@@ -285,12 +285,18 @@ class TestRoundtrip:
         assert rep.invariant and rep.summand and rep.roundtrip_holds
 
     def test_unimodular_change_of_basis(self):
+        # U @ J spans J's lattice, and every verdict is taken on that
+        # lattice's Hermite basis, so the report cannot move
         rng = random.Random(41)
-        base = johnson_image(3)
-        for _ in range(20):
-            u = _random_unimodular(rng, 6)
-            rep = summand_correspondence_roundtrip(u @ base, 3)
-            assert bool(rep)
+        for g in (2, 3):
+            base = johnson_image(g)
+            hnf = intlinalg.row_span_hnf(base)
+            want = summand_correspondence_roundtrip(base, g)
+            assert bool(want)
+            for _ in range(20):
+                changed = _random_unimodular(rng, 2 * g) @ base
+                assert intlinalg.row_span_hnf(changed) == hnf
+                assert summand_correspondence_roundtrip(changed, g) == want
 
     def test_summand_verdicts_need_no_smith_form(self, monkeypatch):
         def refuse(a):
