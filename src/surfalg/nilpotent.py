@@ -291,33 +291,24 @@ class GroupRingTruncation:
     def expand(self, word: GroupWord) -> "MagnusSeries":
         return MagnusSeries(self, self.expand_raw(word))
 
-    def inverse_raw(self, word: GroupWord, degree: int | None = None) -> dict:
-        """Expansion of word^-1 through the given degree (default: K), from
-        the cached expansion of word.
+    def inverse_raw(self, word: GroupWord, degree: int) -> dict:
+        """Expansion of word^-1 through the given degree, from the cached
+        expansion of word; never cached.
 
         With X = E(word), X^-1 = sum_n (1 - X)^n; 1 - X has no constant
         term, so the powers vanish beyond the degree and the sum stops.
         Reduction never shortens a word, so products cut at the degree give
-        the full inverse cut there.  Only the full-truncation inverse is
-        cached, under the inverse word's letters.
+        the full inverse cut there.
         """
         k = self.truncation
-        cap = k if degree is None else min(degree, k)
-        key = tuple(-l for l in reversed(word.letters))
-        if cap == k:
-            cached = self._cache.get(key)
-            if cached is not None:
-                return cached
+        cap = min(degree, k)
         step = {w: -c for w, c in self.expand_raw(word).items() if w and len(w) <= cap}
         rule = (self.lead[0], self.lead[1], self.rhs_words, self.rhs_coeffs, self._memo, k)
         acc, power = {(): 1}, step
         while power:
             intlinalg._axpy(acc, power, 1)
             power = mul_reduce(power, step, cap, *rule)
-        if cap < k:
-            return {w: c for w, c in acc.items() if len(w) <= cap}
-        self._cache[key] = acc
-        return acc
+        return {w: c for w, c in acc.items() if len(w) <= cap}
 
     def defect_raw(self, x: GroupWord, y: GroupWord, degree: int | None = None) -> dict:
         """XY - YX for X = E(x) and Y = E(y), through the given degree.
@@ -367,7 +358,7 @@ class GroupRingTruncation:
 
         If the defect starts in degree m, only the inverses' terms through
         degree K - m reach the truncated product, so X^-1 and Y^-1 are
-        formed only that far (`inverse_raw` with a degree, not cached).  A
+        formed only that far (`inverse_raw`, never cached).  A
         factor that is a generator x needs no inverse: the product by
         (1 + x)^-1 is the inverse-letter solve of `expand_raw`.  At m = K,
         E([x, y]) = 1 + defect and no product is formed at all.

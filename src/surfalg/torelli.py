@@ -27,7 +27,7 @@ from . import intlinalg
 from .enveloping import letter_name
 from .errors import CertificateError
 from .intlinalg import FgAbGroup, IntMatrix
-from .symplectic import SymplecticSpace, wedge3
+from .symplectic import SymplecticSpace, _cube_coords, wedge3
 
 Monomial = tuple[int, ...]  # strictly increasing letter indices; () is 1
 
@@ -226,35 +226,30 @@ def _pullback_relations(g: int, kill_a: bool) -> tuple[tuple[Monomial, ...], Int
     return mons, IntMatrix(rows, cols=cols)
 
 
+def _pullback(g: int, kind: str) -> PullbackGroup:
+    """The fiber product of the given kind, classified by its cokernel; d3
+    kills the class of (sum_i a_i b_i, 0)."""
+    if g < 2:
+        raise ValueError("genus must be at least 2")
+    mons, rel = _pullback_relations(g, kill_a=kind == "d3")
+    return PullbackGroup(
+        genus=g,
+        kind=kind,
+        boolean_generators=mons,
+        relations=rel,
+        invariants=intlinalg.cokernel(rel),
+    )
+
+
 def pullback_d1(g: int) -> PullbackGroup:
     """The fiber product of the boolean cubics with the integral cube over the
     cube mod 2: free of rank C(2g,3) plus an elementary 2-group."""
-    if g < 2:
-        raise ValueError("genus must be at least 2")
-    mons, rel = _pullback_relations(g, kill_a=False)
-    inv = intlinalg.cokernel(rel)
-    return PullbackGroup(
-        genus=g,
-        kind="d1",
-        boolean_generators=mons,
-        relations=rel,
-        invariants=inv,
-    )
+    return _pullback(g, "d1")
 
 
 def pullback_d3(g: int) -> PullbackGroup:
     """The same fiber product with the class of (sum_i a_i b_i, 0) killed."""
-    if g < 2:
-        raise ValueError("genus must be at least 2")
-    mons, rel = _pullback_relations(g, kill_a=True)
-    inv = intlinalg.cokernel(rel)
-    return PullbackGroup(
-        genus=g,
-        kind="d3",
-        boolean_generators=mons,
-        relations=rel,
-        invariants=inv,
-    )
+    return _pullback(g, "d3")
 
 
 def expected_invariants(g: int, kind: str) -> FgAbGroup:
@@ -285,9 +280,14 @@ def projection_to_cube_surjective(g: int) -> bool:
 
 
 def pullback_membership(g: int, p: BoolPoly, v: Sequence[int]) -> bool:
-    """Whether (p, v) lies in the fiber product: q(p) = v mod 2."""
-    qp = q_map(p)
-    return all((x - y) % 2 == 0 for x, y in zip(v, qp))
+    """Whether (p, v) lies in the fiber product: q(p) = v mod 2.
+
+    A polynomial at another genus raises ValueError, and a v without the
+    C(2g,3) coordinates of the cube raises DimensionMismatch."""
+    if p.genus != g:
+        raise ValueError(f"polynomial at genus {p.genus}, expected {g}")
+    v = _cube_coords(SymplecticSpace(g), v)
+    return all((x - y) % 2 == 0 for x, y in zip(v, q_map(p)))
 
 
 def decompose_pullback_element(
@@ -300,10 +300,10 @@ def decompose_pullback_element(
     the wedge generators; uniqueness modulo the relations is exactly the
     presented structure.
     """
+    space = SymplecticSpace(g)
+    v = _cube_coords(space, v)
     if not pullback_membership(g, p, v):
         return None
-    qp = q_map(p)
-    space = SymplecticSpace(g)
     index = space.triple_index()
     lift = [0] * comb(2 * g, 3)
     for m in p.monomials:

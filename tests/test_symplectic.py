@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfalg import intlinalg
-from surfalg.intlinalg import IntMatrix
+from surfalg.intlinalg import DimensionMismatch, IntMatrix
 from surfalg.symplectic import (
     ExtVector,
     RoundtripReport,
     SpGenerator,
     SymplecticSpace,
+    _weight_block_entries,
     commutant_dimension,
     contraction,
     contraction_matrix,
@@ -262,9 +263,68 @@ class TestCommutant:
         # independence: p is not a scalar matrix
         assert any(p[i, j] != 0 for i in range(n) for j in range(n) if i != j)
 
+    def test_dimension_is_two_at_g6(self):
+        # the first genus at which the full n*n system was refused
+        assert commutant_dimension(6) == 2
+
     def test_requires_genus_three(self):
         with pytest.raises(ValueError):
             commutant_dimension(2)
+
+    @pytest.mark.parametrize(
+        "g, unknowns", [(3, 32), (4, 104), (5, 240), (6, 460), (8, 1232), (10, 2580)]
+    )
+    def test_weight_block_sizes(self, g, unknowns):
+        # the sum of the squared weight multiplicities, against n*n
+        entries = _weight_block_entries(g)
+        assert len(entries) == unknowns
+        assert len(set(entries)) == unknowns
+        assert {(k, k) for k in range(comb(2 * g, 3))} <= set(entries)
+
+    @pytest.mark.parametrize("g", [3, 4, 5])
+    def test_block_lattice_is_the_dense_lattice(self, g, monkeypatch):
+        # commutant_dimension's kernel basis over the weight-block entries,
+        # put back in the n*n coordinates of X, spans the same lattice as the
+        # kernel of the full n*n system
+        kernels = []
+        solve = intlinalg.common_left_kernel
+
+        def record(n, maps):
+            kernels.append(solve(n, maps))
+            return kernels[-1]
+
+        monkeypatch.setattr(intlinalg, "common_left_kernel", record)
+        assert commutant_dimension(g) == 2
+        monkeypatch.undo()
+        (blocks,) = kernels
+        n = comb(2 * g, 3)
+        entries = _weight_block_entries(g)
+        embedded = [{entries[i][0] * n + entries[i][1]: x for i, x in b.items()} for b in blocks]
+        dense = _dense_commutant(g)
+        assert len(dense) == 2
+        got = intlinalg.row_span_hnf(IntMatrix._of(embedded, n * n))
+        assert got == intlinalg.row_span_hnf(IntMatrix._of(dense, n * n))
+        # the projector onto the copy of H, unscaled, lies in that lattice
+        p = h_projector(SymplecticSpace(g)).sparse_rows
+        assert intlinalg.row_span_contains(got, {k * n + c: x for k, row in enumerate(p) for c, x in row.items()})
+
+
+def _dense_commutant(g):
+    """Reference: the commutant as the common left kernel over all n*n
+    entries of X, E_kc mapped to A E_kc - E_kc A for each generator action
+    A, matrices flattened row by row."""
+    n = comb(2 * g, 3)
+
+    def images(act):
+        cols, rows = act.transpose().sparse_rows, act.sparse_rows
+        for k in range(n):
+            for c in range(n):
+                img = {r * n + c: x for r, x in cols[k].items()}
+                for j, x in rows[c].items():
+                    img[k * n + j] = img.get(k * n + j, 0) - x
+                yield {i: x for i, x in img.items() if x}
+
+    return intlinalg.common_left_kernel(n * n, (list(images(act)) for _, act in generator_actions(g)))
 
 
 class TestRoundtrip:
@@ -443,6 +503,34 @@ class TestNonIntegralInput:
         with pytest.raises(ValueError, match="not an integer"):
             contraction([1.5, 0, 0, 0], space)
         assert contraction(["1", 0.0, 0, 0], space) == contraction(ExtVector.wedge(space, 0, 1, 2), space)
+
+
+class TestWrongLengthRefused:
+    @pytest.mark.parametrize("length", [0, 2, 5, 7, 12])
+    def test_theta_wedge(self, length):
+        with pytest.raises(DimensionMismatch):
+            theta_wedge(SymplecticSpace(3), [1] + [0] * (length - 1) if length else [])
+
+    @pytest.mark.parametrize("length", [0, 4, 19, 21])
+    def test_contraction_of_a_plain_sequence(self, length):
+        with pytest.raises(DimensionMismatch):
+            contraction([1] * length, SymplecticSpace(3))
+
+    def test_contraction_of_a_vector_at_another_genus(self):
+        with pytest.raises(DimensionMismatch):
+            contraction(ExtVector.wedge(SymplecticSpace(2), 0, 1, 2), SymplecticSpace(3))
+
+    @pytest.mark.parametrize("length", [0, 19, 21])
+    def test_ext_vector(self, length):
+        with pytest.raises(DimensionMismatch):
+            ExtVector(SymplecticSpace(3), [0] * length)
+
+    @pytest.mark.parametrize("index", [-1, 6, 9, 1.0, None])
+    def test_wedge_index_outside_the_basis(self, index):
+        space = SymplecticSpace(3)
+        for ijk in ((0, 1, index), (index, 0, 1), (0, index, 1)):
+            with pytest.raises(ValueError):
+                ExtVector.wedge(space, *ijk)
 
 
 def test_theta_section_shape():

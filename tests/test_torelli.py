@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from surfalg import torelli
 from surfalg.errors import CertificateError
-from surfalg.intlinalg import FgAbGroup
+from surfalg.intlinalg import DimensionMismatch, FgAbGroup
 from surfalg.symplectic import wedge3
 from surfalg.torelli import (
     BoolPoly,
@@ -167,6 +167,23 @@ class TestPullbacks:
             bad[rng.randrange(n)] += 1
             assert not pullback_membership(g, p, bad)
             assert decompose_pullback_element(g, p, bad) is None
+
+    @pytest.mark.parametrize("length", [0, 3, 5, 8])
+    def test_wrong_length_vector_refused(self, length):
+        # the cube at genus 2 has 4 coordinates
+        p = BoolPoly(2, [])
+        with pytest.raises(DimensionMismatch):
+            pullback_membership(2, p, [0] * length)
+        with pytest.raises(DimensionMismatch):
+            decompose_pullback_element(2, p, [0] * length)
+
+    def test_polynomial_at_another_genus_refused(self):
+        for g, p_genus in ((2, 3), (3, 2)):
+            p, v = BoolPoly(p_genus, []), [0] * comb(2 * g, 3)
+            with pytest.raises(ValueError):
+                pullback_membership(g, p, v)
+            with pytest.raises(ValueError):
+                decompose_pullback_element(g, p, v)
 
 
 def test_gf2_rank():
