@@ -15,7 +15,7 @@ from math import comb
 from typing import Iterable
 
 from . import intlinalg
-from ._kernel import mul_letter, mul_reduce, reduce_terms, reduce_word
+from ._kernel import mul_letter, mul_reduce, reduce_terms
 from .errors import CertificateError, ResourceLimitExceeded
 from .freelie import LieElement
 
@@ -31,7 +31,45 @@ def _deglex_key(word: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return (len(word), word)
 
 
-class EnvelopingAlgebra:
+class _RewriteRing:
+    """One rewrite rule lead -> rhs over the kernel, with its memo.
+
+    The relation is a polynomial whose leading word `lead` carries
+    coefficient -1, so lead equals the rest of it.  Words longer than
+    `max_len` vanish (-1: no cutoff), and a max_degree of -1 means max_len.
+    The memo is keyed by (rule, max_len), which is fixed per instance.
+    """
+
+    def __init__(self, lead: tuple[int, int], relation: dict, max_len: int):
+        self.lead = lead
+        rhs = [(w, c) for w, c in relation.items() if w != lead]
+        self.rhs_words = tuple(w for w, _ in rhs)
+        self.rhs_coeffs = tuple(c for _, c in rhs)
+        self.max_len = max_len
+        self._memo: dict = {}
+
+    def reduce_raw(self, terms: dict) -> dict:
+        return reduce_terms(
+            terms, self.lead[0], self.lead[1], self.rhs_words, self.rhs_coeffs,
+            self._memo, self.max_len,
+        )
+
+    def mul_raw(self, a: dict, b: dict, max_degree: int = -1) -> dict:
+        return mul_reduce(
+            a, b, max_degree, self.lead[0], self.lead[1],
+            self.rhs_words, self.rhs_coeffs, self._memo, self.max_len,
+        )
+
+    def mul_letter_raw(self, terms: dict, letter: int, on_left: bool, max_degree: int = -1) -> dict:
+        """letter*terms (on_left) or terms*letter for reduced terms and a
+        0-based letter index."""
+        return mul_letter(
+            terms, letter, on_left, max_degree, self.lead[0], self.lead[1],
+            self.rhs_words, self.rhs_coeffs, self._memo, self.max_len,
+        )
+
+
+class EnvelopingAlgebra(_RewriteRing):
     """Rewriting handle for one genus; holds the shared reduction memo."""
 
     def __init__(self, genus: int):
@@ -47,11 +85,7 @@ class EnvelopingAlgebra:
         lead = max(relation, key=_deglex_key)
         if relation[lead] != -1:
             raise CertificateError("the leading word must carry coefficient -1")
-        self.lead = lead
-        rhs = [(w, c) for w, c in relation.items() if w != lead]
-        self.rhs_words = tuple(w for w, _ in rhs)
-        self.rhs_coeffs = tuple(c for _, c in rhs)
-        self._memo: dict = {}
+        super().__init__(lead, relation, -1)
         self._words_cache: dict[int, tuple[tuple[int, ...], ...]] = {}
         self._check_rewriting_system()
 
@@ -69,31 +103,6 @@ class EnvelopingAlgebra:
 
     def __repr__(self):
         return f"EnvelopingAlgebra(genus={self.genus})"
-
-    # -- reduction ----------------------------------------------------------
-
-    def reduce_raw(self, terms: dict) -> dict:
-        return reduce_terms(
-            terms, self.lead[0], self.lead[1], self.rhs_words, self.rhs_coeffs, self._memo
-        )
-
-    def reduce_word_raw(self, word: tuple[int, ...]) -> dict:
-        return reduce_word(
-            word, self.lead[0], self.lead[1], self.rhs_words, self.rhs_coeffs, self._memo
-        )
-
-    def mul_raw(self, a: dict, b: dict, max_degree: int = -1) -> dict:
-        return mul_reduce(
-            a, b, max_degree, self.lead[0], self.lead[1],
-            self.rhs_words, self.rhs_coeffs, self._memo,
-        )
-
-    def mul_letter_raw(self, terms: dict, letter: int, on_left: bool) -> dict:
-        """letter*terms (on_left) or terms*letter for reduced terms."""
-        return mul_letter(
-            terms, letter, on_left, -1, self.lead[0], self.lead[1],
-            self.rhs_words, self.rhs_coeffs, self._memo,
-        )
 
     # -- reduced-word bases --------------------------------------------------
 

@@ -223,9 +223,6 @@ class HallWord:
     def tree(self):
         return self.algebra.bracketing(self.word)
 
-    def as_element(self) -> "LieElement":
-        return LieElement(self.algebra, {self.word: 1})
-
     def __eq__(self, other):
         return (
             isinstance(other, HallWord)
@@ -276,9 +273,6 @@ class LieElement:
         return LieElement(
             self.algebra, {w: c for w, c in self._coords.items() if len(w) == degree}
         )
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
 
     def _check_same(self, other: "LieElement"):
         if self.algebra is not other.algebra:

@@ -175,6 +175,10 @@ class FgAbGroup:
     torsion: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.free_rank) is not int or self.free_rank < 0:
+            raise ValueError(f"free rank {self.free_rank!r} is not a non-negative int")
+        # frozen: the coerced torsion replaces the given one
+        object.__setattr__(self, "torsion", _int_row(self.torsion))
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a != 0:
                 raise ValueError("torsion factors must form a divisibility chain")

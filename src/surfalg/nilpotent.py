@@ -17,14 +17,16 @@ order), the converse is certified by the rank certificates below.
 The graded pieces of this filtered model are the graded quotient's reduced
 words, which is why the two modules share their word bases.
 
-Every product by a single letter goes through the kernel's `mul_letter`,
-which rewrites only at the junction of a reduced word and the letter.  A
-generator step is acc + acc*x; an inverse step solves Y + Y*x = acc for
-Y = acc*(1 + x)^-1 degree by degree, so no geometric series is multiplied.
-A commutator [x, y] expands as 1 + (XY - YX) X^-1 Y^-1; the defect XY - YX
-starts in some degree m, so the inverses are formed only through degree
-K - m (a generator's by the same solve), and in the top layer (m = K) not
-at all.
+The ring multiplies by an expansion E(w) in one way and divides by it in
+one way.  `_times` forms the product with E(w) - 1: by the kernel's
+`mul_letter` for a generator, which rewrites only at the junction of a
+reduced word and the letter, and by a truncated `mul_reduce` otherwise.
+`_divide` forms acc*E(w)^-1 as the Y with Y + Y*(E(w) - 1) = acc, solved
+degree by degree, so no inverse series is formed.  A generator step of an
+expansion is acc + acc*x, and an inverse step divides by the letter.  A
+commutator [x, y] expands as 1 + (XY - YX) X^-1 Y^-1: the defect XY - YX,
+divided by X and then by Y.  If the defect starts in degree K, no product
+is formed.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from . import intlinalg
-from .enveloping import enveloping_algebra, hilbert_dimension, letter_name
-from ._kernel import mul_letter, mul_reduce, reduce_terms
+from .enveloping import _RewriteRing, enveloping_algebra, hilbert_dimension, letter_name
 from .errors import CertificateError, ResourceLimitExceeded
 from .freelie import free_lie_algebra
 
@@ -161,14 +162,16 @@ def _free_mul(a: dict, b: dict, max_degree: int) -> dict:
     return out
 
 
-class GroupRingTruncation:
+class GroupRingTruncation(_RewriteRing):
     """The integral group ring of the surface group modulo degree > K.
 
     Identifying the truncated free-group ring with the truncated tensor
     algebra via x -> 1 + x turns the relation into the rewrite rule described
     in the module docstring.  The rule's two-letter part is the graded
     relation; its tail is the relator expansion's higher part, so reduction
-    here refines the graded reduction degree by degree.
+    here refines the graded reduction degree by degree.  The kernel calls
+    (`reduce_raw`, `mul_raw`, `mul_letter_raw`) are the enveloping algebra's,
+    with words longer than K dropped.
     """
 
     def __init__(self, genus: int, truncation: int):
@@ -183,7 +186,6 @@ class GroupRingTruncation:
         self.genus = genus
         self.truncation = truncation
         self.graded = enveloping_algebra(genus)
-        self.lead = self.graded.lead
         if truncation == 1:
             # no two-letter words exist, so the rule below can never fire;
             # keep the graded relation as an inert placeholder
@@ -207,35 +209,12 @@ class GroupRingTruncation:
                 raise CertificateError("relator defect differs from the graded relation")
             if any(len(w) < 2 for w in defect):
                 raise CertificateError("relator defect has a term below degree two")
-        rhs = [(w, c) for w, c in defect.items() if w != self.lead]
-        self.rhs_words = tuple(w for w, _ in rhs)
-        self.rhs_coeffs = tuple(c for _, c in rhs)
-        self._memo: dict = {}
+        super().__init__(self.graded.lead, defect, truncation)
+        self._words: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._cache: dict[tuple[int, ...], dict] = {}
 
     def __repr__(self):
         return f"GroupRingTruncation(genus={self.genus}, K={self.truncation})"
-
-    def reduce_raw(self, terms: dict) -> dict:
-        return reduce_terms(
-            terms, self.lead[0], self.lead[1], self.rhs_words, self.rhs_coeffs,
-            self._memo, self.truncation,
-        )
-
-    def mul_raw(self, a: dict, b: dict) -> dict:
-        return mul_reduce(
-            a, b, self.truncation, self.lead[0], self.lead[1],
-            self.rhs_words, self.rhs_coeffs, self._memo, self.truncation,
-        )
-
-    def mul_letter_raw(self, terms: dict, letter: int, on_left: bool, degree: int | None = None) -> dict:
-        """letter*terms (on_left) or terms*letter for reduced terms and a
-        0-based letter index, cut at the given degree (default: K)."""
-        return mul_letter(
-            terms, letter, on_left, self.truncation if degree is None else degree,
-            self.lead[0], self.lead[1], self.rhs_words, self.rhs_coeffs,
-            self._memo, self.truncation,
-        )
 
     def reduced_words(self, degree: int):
         return self.graded.reduced_words(degree)
@@ -258,92 +237,81 @@ class GroupRingTruncation:
                 intlinalg._axpy(step, acc, 1)
                 acc = step
             else:
-                acc = self._solve_inverse_letter(acc, -l - 1)
+                acc = self._divide(acc, GroupWord._of(self.genus, (-l,)))
         self._cache[word.letters] = acc
         return acc
 
-    def _solve_inverse_letter(self, acc: dict, letter: int) -> dict:
-        """acc * (1 + x)^-1 for reduced acc: the Y with Y + Y*x = acc.
+    def expand(self, word: GroupWord) -> "MagnusSeries":
+        return MagnusSeries(self, self.expand_raw(word))
 
-        Y*x raises every degree by at least one, so Y's degree-d part is
-        acc's minus the degree-d part of Y*x from the degrees below.  The
-        terms are bucketed by degree and each is multiplied by x once.
+    def _times(self, terms: dict, w: GroupWord, on_left: bool, cap: int) -> dict:
+        """(E(w) - 1)*terms (on_left) or terms*(E(w) - 1) for reduced terms,
+        product words cut at cap: one letter product for a generator w, a
+        truncated product with the non-constant part of E(w) otherwise."""
+        letter = _generator_letter(w)
+        if letter is not None:
+            return self.mul_letter_raw(terms, letter, on_left, cap)
+        # a word of E(w) longer than room makes every product overflow cap
+        room = cap - min(map(len, terms), default=0)
+        step = {v: c for v, c in self.expand_raw(w).items() if v and len(v) <= room}
+        return self.mul_raw(step, terms, cap) if on_left else self.mul_raw(terms, step, cap)
+
+    def _divide(self, acc: dict, w: GroupWord) -> dict:
+        """acc * E(w)^-1 for reduced acc: the Y with Y + Y*(E(w) - 1) = acc.
+
+        E(w) - 1 has no constant term and reduction never shortens a word,
+        so Y*(E(w) - 1) raises every degree by at least one, and Y's degree-d
+        part is acc's minus the degree-d part of Y*(E(w) - 1) from the
+        degrees below.  The terms are bucketed by degree, and each bucket is
+        multiplied once, when it is final.  No inverse series is formed, and
+        when acc has no term below degree K no product is formed at all: acc
+        itself is returned.
         """
         k = self.truncation
+        if min(map(len, acc), default=k) == k:
+            return acc
         buckets: list[dict] = [{} for _ in range(k + 1)]
-        for w, c in acc.items():
-            buckets[len(w)][w] = c
+        for v, c in acc.items():
+            buckets[len(v)][v] = c
         out: dict = {}
         for d, part in enumerate(buckets):
             if not part:
                 continue
             out.update(part)
             if d < k:
-                for w, c in self.mul_letter_raw(part, letter, False).items():
-                    bucket = buckets[len(w)]
-                    val = bucket.get(w, 0) - c
+                for v, c in self._times(part, w, False, k).items():
+                    bucket = buckets[len(v)]
+                    val = bucket.get(v, 0) - c
                     if val:
-                        bucket[w] = val
+                        bucket[v] = val
                     else:
-                        del bucket[w]
+                        del bucket[v]
         return out
-
-    def expand(self, word: GroupWord) -> "MagnusSeries":
-        return MagnusSeries(self, self.expand_raw(word))
-
-    def inverse_raw(self, word: GroupWord, degree: int) -> dict:
-        """Expansion of word^-1 through the given degree, from the cached
-        expansion of word; never cached.
-
-        With X = E(word), X^-1 = sum_n (1 - X)^n; 1 - X has no constant
-        term, so the powers vanish beyond the degree and the sum stops.
-        Reduction never shortens a word, so products cut at the degree give
-        the full inverse cut there.
-        """
-        k = self.truncation
-        cap = min(degree, k)
-        step = {w: -c for w, c in self.expand_raw(word).items() if w and len(w) <= cap}
-        rule = (self.lead[0], self.lead[1], self.rhs_words, self.rhs_coeffs, self._memo, k)
-        acc, power = {(): 1}, step
-        while power:
-            intlinalg._axpy(acc, power, 1)
-            power = mul_reduce(power, step, cap, *rule)
-        return {w: c for w, c in acc.items() if len(w) <= cap}
 
     def defect_raw(self, x: GroupWord, y: GroupWord, degree: int | None = None) -> dict:
         """XY - YX for X = E(x) and Y = E(y), through the given degree.
 
-        The constant terms cancel, so the defect is (X-1)(Y-1) - (Y-1)(X-1)
-        and only the non-constant parts are multiplied.  With a degree d below
-        the truncation, product words longer than d are dropped before
+        The constant terms' products cancel, so XY - YX = X(Y-1) - (Y-1)X,
+        two products by an expansion (`_times`).  When x is a generator the
+        roles swap, XY - YX = (X-1)Y - Y(X-1), so that the products are by a
+        letter.  When neither is a generator, X's constant term is dropped
+        too: its products would cost a pass over Y - 1 each.  With a degree d
+        below the truncation, product words longer than d are dropped before
         reduction and the result is cut to degree d.  Reduction never
         shortens a word, so that equals the full defect truncated to degree d.
-
-        When y (or x) is a generator, Y - 1 is its letter l, and the defect
-        is X*l - l*X (or l*Y - Y*l): two letter products, in which the
-        constant term's products cancel.
         """
         k = self.truncation
         cap = k if degree is None else min(degree, k)
-        lx, ly = _generator_letter(x), _generator_letter(y)
-        if ly is not None:
-            out = self._letter_defect(self.expand_raw(x), ly, cap)
-        elif lx is not None:
-            out = {w: -c for w, c in self._letter_defect(self.expand_raw(y), lx, cap).items()}
-        else:
-            xs = {w: c for w, c in self.expand_raw(x).items() if w}
-            ys = {w: c for w, c in self.expand_raw(y).items() if w}
-            rule = (self.lead[0], self.lead[1], self.rhs_words, self.rhs_coeffs, self._memo, k)
-            out = mul_reduce(xs, ys, cap, *rule)
-            intlinalg._axpy(out, mul_reduce(ys, xs, cap, *rule), -1)
+        on_left = _generator_letter(x) is not None
+        if on_left:
+            x, y = y, x
+        terms = self.expand_raw(x)
+        if _generator_letter(y) is None:
+            terms = {w: c for w, c in terms.items() if w}
+        out = self._times(terms, y, on_left, cap)
+        intlinalg._axpy(out, self._times(terms, y, not on_left, cap), -1)
         if cap < k:
             out = {w: c for w, c in out.items() if len(w) <= cap}
-        return out
-
-    def _letter_defect(self, terms: dict, letter: int, cap: int) -> dict:
-        """terms*x - x*terms for reduced terms, product words cut at cap."""
-        out = self.mul_letter_raw(terms, letter, False, cap)
-        intlinalg._axpy(out, self.mul_letter_raw(terms, letter, True, cap), -1)
         return out
 
     def commutator_raw(self, x: GroupWord, y: GroupWord) -> dict:
@@ -351,30 +319,23 @@ class GroupRingTruncation:
 
         With X = E(x) and Y = E(y), E([x, y]) = 1 + (XY - YX) X^-1 Y^-1,
         since (XY - YX) X^-1 Y^-1 = XY X^-1 Y^-1 - 1.  So [x, y] expands to 1
-        exactly when the defect XY - YX (`defect_raw`) vanishes, and then no
-        inverse is formed.  For x in the jth and y in the ith lower-central
-        term, X - 1 and Y - 1 start in degrees j and i, so the defect and
-        [x, y] - 1 start in degree i + j, as the filtration demands.
+        exactly when the defect XY - YX (`defect_raw`) vanishes.  For x in
+        the jth and y in the ith lower-central term, X - 1 and Y - 1 start in
+        degrees j and i, so the defect and [x, y] - 1 start in degree i + j,
+        as the filtration demands.
 
-        If the defect starts in degree m, only the inverses' terms through
-        degree K - m reach the truncated product, so X^-1 and Y^-1 are
-        formed only that far (`inverse_raw`, never cached).  A
-        factor that is a generator x needs no inverse: the product by
-        (1 + x)^-1 is the inverse-letter solve of `expand_raw`.  At m = K,
-        E([x, y]) = 1 + defect and no product is formed at all.
+        The defect is divided by X, then by Y (`_divide`).  A product of a
+        degree-m term with X - 1 or Y - 1 lies past the truncation once
+        m = K, so a defect that starts in degree K forms no product at all.
+        Letter products make a new tuple per word, so the result's words are
+        interned per ring (`_words`): equal words of all the commutator
+        expansions share one tuple.
         """
         defect = self.defect_raw(x, y)
         if not defect:
             return {(): 1}
-        room = self.truncation - min(map(len, defect))
-        out = defect
-        if room:
-            for w in (x, y):
-                letter = _generator_letter(w)
-                if letter is None:
-                    out = self.mul_raw(out, self.inverse_raw(w, room))
-                else:
-                    out = self._solve_inverse_letter(out, letter)
+        intern = self._words.setdefault
+        out = {intern(w, w): c for w, c in self._divide(self._divide(defect, x), y).items()}
         out[()] = 1  # the defect has no constant term, so neither has out
         return out
 

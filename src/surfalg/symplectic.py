@@ -265,15 +265,18 @@ def _generator_actions(g: int) -> tuple[tuple[SpGenerator, IntMatrix], ...]:
 def _moved_rows(g: int) -> tuple[dict, ...]:
     """Per generator action A of `generator_actions(g)`, the nonzero sparse
     rows of A.T - I, by row index: row c is the moved part A e_c - e_c of
-    basis vector c, and a basis vector A fixes has no entry."""
+    basis vector c, and a basis vector A fixes has no entry.  Each action is
+    transposed once per genus, here; `commutant_dimension` and the roundtrip
+    both read the result."""
     out = []
     for _, act in generator_actions(g):
         rows = {}
         for c, col in enumerate(act.transpose().sparse_rows):
+            if len(col) == 1 and col.get(c) == 1:
+                continue  # A fixes e_c
             moved = dict(col)
             intlinalg._axpy(moved, {c: 1}, -1)
-            if moved:
-                rows[c] = moved
+            rows[c] = moved
         out.append(rows)
     return tuple(out)
 
@@ -397,19 +400,29 @@ def _weight_block_entries(g: int) -> tuple[tuple[int, int], ...]:
     return tuple((k, c) for k, w in enumerate(weights) for c in blocks[w])
 
 
-def _commutator_images(action: IntMatrix, entries: Sequence[tuple[int, int]]) -> list[dict]:
+def _commutator_images(action: IntMatrix, moved: dict, entries: Sequence[tuple[int, int]]) -> list[dict]:
     """Images of the unit matrices E_kc, for (k, c) in entries, under
     X -> A X - X A, A the action.
 
     A E_kc puts column k of A into column c and E_kc A puts row c of A into
     row k; matrices are flattened row by row, entry (r, c) to r * n + c.
+    Column k of A is e_k plus its moved part, A's `_moved_rows` entry
+    `moved` at k, so no action is transposed here.
     """
     n = action.rows
     a_rows = action.sparse_rows
-    a_cols = action.transpose().sparse_rows
     images = []
     for k, c in entries:
-        img = {r * n + c: x for r, x in a_cols[k].items()}
+        col = moved.get(k)
+        if col is None:
+            img = {k * n + c: 1}  # A e_k = e_k
+        else:
+            img = {r * n + c: x for r, x in col.items()}
+            val = img.get(k * n + c, 0) + 1  # plus e_k
+            if val:
+                img[k * n + c] = val
+            else:
+                del img[k * n + c]
         # inline, not intlinalg._axpy: a shifted copy of row c per image cost ~3% wall on shipped-g3k4
         for j, x in a_rows[c].items():
             val = img.get(k * n + j, 0) - x
@@ -445,7 +458,10 @@ def commutant_dimension(g: int) -> int:
     if g < 3:
         raise ValueError("the uniqueness certificate is stated for genus >= 3")
     entries = _weight_block_entries(g)
-    maps = (_commutator_images(action, entries) for _, action in generator_actions(g))
+    maps = (
+        _commutator_images(action, moved, entries)
+        for (_, action), moved in zip(generator_actions(g), _moved_rows(g))
+    )
     return len(intlinalg.common_left_kernel(len(entries), maps))
 
 

@@ -112,11 +112,11 @@ class TestReduce:
             tuple((i + j) % 6 for j in range(5))
             for i in range(40)
         ] + [(5, 4) * 2, (5, 4, 5, 4, 0)]
-        expected = [alg.reduce_word_raw(w) for w in words]
+        expected = [alg.reduce_raw({w: 1}) for w in words]
         fresh = enveloping_algebra(3)
 
         def work(w):
-            return alg.reduce_word_raw(w)
+            return alg.reduce_raw({w: 1})
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(work, words * 5))

@@ -353,6 +353,22 @@ class TestCokernel:
         assert str(FgAbGroup(2, (2, 4))) == "Z^2 + Z/2 + Z/4"
         assert str(FgAbGroup(0, ())) == "0"
 
+    @pytest.mark.parametrize("rank", [-1, 2.5, 2.0, "2", True, None])
+    def test_free_rank_must_be_a_non_negative_int(self, rank):
+        with pytest.raises(ValueError, match="free rank"):
+            FgAbGroup(rank, ())
+
+    def test_torsion_is_coerced_to_an_int_tuple(self):
+        group = FgAbGroup(1, [2, 4])
+        assert group == FgAbGroup(1, (2, 4))
+        assert hash(group) == hash(FgAbGroup(1, (2, 4)))
+        assert FgAbGroup(0, ("2",)).torsion == (2,)
+        assert str(FgAbGroup(0, (2.0,))) == "Z/2"
+        with pytest.raises(ValueError, match="not an integer"):
+            FgAbGroup(0, (2.5,))
+        with pytest.raises(ValueError, match="no entry order"):
+            FgAbGroup(0, {2})
+
 
 class TestSummandTransfer:
     def test_identity_maps(self):

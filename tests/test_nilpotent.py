@@ -508,14 +508,27 @@ class TestCommutatorRoute:
                     assert ring.defect_raw(a, b) == {w: c for w, c in defect.items() if c}
                     assert ring.commutator_raw(a, b) == four_factor(a, b)
 
-    def test_inverse_through_a_degree_is_the_cut_inverse(self, genus, K):
+    def test_divide_is_the_product_with_the_inverse(self, genus, K):
+        # acc * E(w)^-1 against the product with the letter-series expansion
+        # of w^-1, for Hall words and letters of either sign; dividing
+        # caches at most E(w) itself, never an inverse
         ring = GroupRingTruncation(genus, K)
-        for x in self.hall_words(ring)[:: 7]:
-            full = letter_series_expansion(ring, x.inverse())
-            for d in range(K + 1):
-                assert ring.inverse_raw(x, d) == truncated(full, d)
-                assert x.inverse().letters not in ring._cache
-            assert truncated(full, K) == full
+        rng = random.Random(5 * genus + K)
+        letters = [GroupWord(genus, (s * l,)) for l in range(1, 2 * genus + 1) for s in (1, -1)]
+        for w in self.hall_words(ring)[:: 7] + letters:
+            for _ in range(3):
+                raw = {
+                    tuple(rng.randrange(2 * genus) for _ in range(rng.randint(0, K))): rng.randint(-5, 5)
+                    for _ in range(6)
+                }
+                acc = ring.reduce_raw(raw)
+                before = set(ring._cache)
+                got = ring._divide(acc, w)
+                assert set(ring._cache) - before <= {w.letters}
+                assert got == ring.mul_raw(acc, letter_series_expansion(ring, w.inverse()))
+                assert ring.mul_raw(got, ring.expand_raw(w)) == acc
+        for key, terms in ring._cache.items():
+            assert terms == letter_series_expansion(ring, GroupWord(genus, key))
 
 
 def tree_realization(genus, degree):

@@ -16,6 +16,7 @@ from surfalg.symplectic import (
     RoundtripReport,
     SpGenerator,
     SymplecticSpace,
+    _moved_rows,
     _weight_block_entries,
     commutant_dimension,
     contraction,
@@ -60,6 +61,36 @@ class TestGenerators:
         assert [gen for gen, _ in pairs] == list(gens)
         for gen, action in pairs:
             assert action == lambda3_action(gen.matrix)
+
+    @pytest.mark.parametrize("g", [3, 4])
+    def test_actions_are_transposed_once_per_genus(self, g, monkeypatch):
+        # commutant_dimension and the roundtrip both read the cached moved
+        # rows; neither transposes an action again
+        pairs = generator_actions(g)
+        _moved_rows.cache_clear()
+        calls = []
+        transpose = IntMatrix.transpose
+
+        def counting(m):
+            calls.append(m.shape)
+            return transpose(m)
+
+        monkeypatch.setattr(IntMatrix, "transpose", counting)
+        commutant_dimension(g)
+        commutant_dimension(g)
+        assert summand_correspondence_roundtrip(johnson_image(g), g)
+        assert len(calls) == len(pairs)
+        moved_rows = _moved_rows(g)
+        assert _moved_rows(g) is moved_rows
+        monkeypatch.undo()
+        # with the unit rows added back, the moved rows are A.T's rows
+        for (_, action), moved in zip(pairs, moved_rows):
+            cols = []
+            for c in range(action.rows):
+                col = dict(moved.get(c, {}))
+                intlinalg._axpy(col, {c: 1}, 1)
+                cols.append(col)
+            assert tuple(cols) == action.transpose().sparse_rows
 
     def test_bad_matrix_rejected(self):
         space = SymplecticSpace(1)
