@@ -395,36 +395,26 @@ def _suite_torelli_h1(s: _Session) -> list[CheckResult]:
     g = s.config.genus
     checks: list[CheckResult] = []
 
-    def describe(p):
+    def describe(invariants, q_reconstructed):
         return {
-            "free_rank": p.invariants.free_rank,
-            "torsion_exponent": p.torsion_exponent,
-            "torsion_orders": sorted(set(p.invariants.torsion)),
-            "q_reconstructed": p.q_reconstructed,
-            "torsion_exponent_without_constant_convention": p.torsion_exponent_without_constant,
+            "free_rank": invariants.free_rank,
+            "torsion_exponent": len(invariants.torsion),
+            "torsion_orders": sorted(set(invariants.torsion)),
+            "q_reconstructed": q_reconstructed,
         }
+
+    def pullback(kind, build):
+        # the expected side is the dim B2 formula, the actual side the
+        # computed cokernel; both go through the same describe
+        got = build(g)
+        expected = describe(torelli.expected_invariants(g, kind), True)
+        return expected, describe(got.invariants, got.q_reconstructed)
 
     def d1():
-        got = torelli.pullback_d1(g)
-        expected = {
-            "free_rank": comb(2 * g, 3),
-            "torsion_exponent": torelli.bool_dimension(g, 2),
-            "torsion_orders": [2],
-            "q_reconstructed": True,
-            "torsion_exponent_without_constant_convention": torelli.bool_dimension(g, 2) - 1,
-        }
-        return expected, describe(got)
+        return pullback("d1", torelli.pullback_d1)
 
     def d3():
-        got = torelli.pullback_d3(g)
-        expected = {
-            "free_rank": comb(2 * g, 3),
-            "torsion_exponent": torelli.bool_dimension(g, 2) - 1,
-            "torsion_orders": [2],
-            "q_reconstructed": True,
-            "torsion_exponent_without_constant_convention": torelli.bool_dimension(g, 2) - 2,
-        }
-        return expected, describe(got)
+        return pullback("d3", torelli.pullback_d3)
 
     def q_props():
         a = torelli.element_a(g)
@@ -484,8 +474,7 @@ def _suite_lemma_summand(s: _Session) -> list[CheckResult]:
 
 
 def _suite_identity_viii(s: _Session) -> list[CheckResult]:
-    cfg = s.config
-    g = cfg.genus
+    g = s.config.genus
     checks: list[CheckResult] = []
 
     def edge_cases():
@@ -498,21 +487,15 @@ def _suite_identity_viii(s: _Session) -> list[CheckResult]:
             ],
         )
 
-    def random_triples():
-        rng = s.rng("identity-viii")
-        trials = cfg.trials
-        good = 0
-        for _ in range(trials):
-            p, gw, n = (
-                GroupWord(g, [rng.choice([1, -1]) * rng.randint(1, 2 * g) for _ in range(rng.randint(0, 8))])
-                for _ in range(3)
-            )
-            if verify_identity_viii(p, gw, n):
-                good += 1
-        return trials, good
+    def universal():
+        # a law in three variables holds under every substitution exactly
+        # when it holds on three distinct free generators (the universal
+        # property of the free group F_3), so one call decides it
+        a1, b1, a2 = (GroupWord(g, (x,)) for x in (1, 2, 3))
+        return True, verify_identity_viii(a1, b1, a2)
 
     _run_check(checks, "identity-viii-edge-cases", "commutator-rearrangement", edge_cases)
-    _run_check(checks, "identity-viii-random", "commutator-rearrangement", random_triples)
+    _run_check(checks, "identity-viii-universal", "commutator-rearrangement", universal)
     return checks
 
 
@@ -599,13 +582,18 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    report = run(config)
-    text = report.to_json() if config.report_format == "json" else report.to_text()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    # an unwritable report path is refused before any suite runs
+    try:
+        out = open(args.out, "w") if args.out else None
+    except OSError as exc:
+        print(f"config error: cannot write the report to {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
+    try:
+        report = run(config)
+        print(report.to_json() if config.report_format == "json" else report.to_text(), file=out)
+    finally:
+        if out is not None:
+            out.close()
     return 0 if report.passed else 1
 
 

@@ -246,16 +246,6 @@ class NcPoly:
         return "NcPoly(" + " + ".join(bits) + ")"
 
 
-def reduce(algebra: EnvelopingAlgebra, raw_terms: dict) -> NcPoly:
-    """Normal form of a raw polynomial {word: coeff}."""
-    return algebra.poly(raw_terms)
-
-
-def relation_element(genus: int) -> dict:
-    """sum_i (a_i b_i - b_i a_i) as a raw polynomial."""
-    return dict(enveloping_algebra(genus).relation)
-
-
 def hilbert_dimension(genus: int, degree: int) -> int:
     """Count of reduced words of the given length.
 

@@ -10,7 +10,7 @@ and safe (caches are only ever extended, never mutated in place).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import CertificateError, ResourceLimitExceeded
 from .intlinalg import _axpy, _int_row, _int_word
@@ -176,10 +176,12 @@ class FreeLieAlgebra:
         return LieElement(self, {(i,): 1})
 
     def element(self, coords: dict) -> "LieElement":
-        """Element from {word_or_HallWord: coeff}; words must be Lyndon."""
+        """Element from {word: coeff}; words must be Lyndon over 0..n-1."""
         flat = {}
         for k, c in zip(coords, _int_row(coords.values())):
-            w = k.word if isinstance(k, HallWord) else _int_word(k)
+            w = _int_word(k)
+            if not all(0 <= x < self.n for x in w):
+                raise ValueError(f"letters of {w} outside 0..{self.n - 1}")
             if not is_lyndon(w):
                 raise ValueError(f"{w} is not a basis word")
             if c:
@@ -197,52 +199,6 @@ def free_lie_algebra(n: int) -> FreeLieAlgebra:
     return _shared_algebra(n)
 
 
-class HallWord:
-    """A basis word together with its canonical bracketing.
-
-    Membership in the Lyndon basis is checked at construction; degree is the
-    leaf count of the bracketing tree.
-    """
-
-    __slots__ = ("algebra", "word")
-
-    def __init__(self, algebra: FreeLieAlgebra, word: Iterable[int]):
-        w = _int_word(word)
-        if not all(0 <= x < algebra.n for x in w):
-            raise ValueError(f"letters outside 0..{algebra.n - 1}")
-        if not is_lyndon(w):
-            raise ValueError(f"{w} is not in the Lyndon basis")
-        self.algebra = algebra
-        self.word = w
-
-    @property
-    def degree(self) -> int:
-        return len(self.word)
-
-    @property
-    def tree(self):
-        return self.algebra.bracketing(self.word)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HallWord)
-            and self.word == other.word
-            and self.algebra is other.algebra
-        )
-
-    def __hash__(self):
-        return hash(self.word)
-
-    def __repr__(self):
-        return f"HallWord({self.word})"
-
-
-def hall_basis(n: int, degree: int) -> list[HallWord]:
-    """Z-basis of the degree-d homogeneous component; its size is the Witt number."""
-    alg = free_lie_algebra(n)
-    return [HallWord(alg, w) for w in alg.basis_words(degree)]
-
-
 class LieElement:
     """Integer combination of basis words, graded by word length.
 
@@ -255,10 +211,6 @@ class LieElement:
     def __init__(self, algebra: FreeLieAlgebra, coords: dict):
         self.algebra = algebra
         self._coords = {w: c for w, c in coords.items() if c}
-
-    @property
-    def coords(self) -> dict:
-        return {HallWord(self.algebra, w): c for w, c in self._coords.items()}
 
     def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
         return iter(self._coords.items())
@@ -318,7 +270,3 @@ class LieElement:
                 _axpy(out, alg.bracket_words(wa, wb), ca * cb)
         return LieElement(alg, out)
 
-
-def bracket(x: LieElement, y: LieElement) -> LieElement:
-    """Lie bracket, bilinear, result in basis coordinates."""
-    return x.bracket(y)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from . import intlinalg
 from .errors import CertificateError, ResourceLimitExceeded
-from .freelie import FreeLieAlgebra, LieElement, free_lie_algebra, witt_dimension
+from .freelie import LieElement, free_lie_algebra, witt_dimension
 from .intlinalg import IntMatrix
 
 _DIMENSION_CAP = 20_000
@@ -265,11 +265,6 @@ def build(g: int, K: int) -> SurfaceAlgebra:
                 ]
                 current = [e.bracket(x) for e in ideal_elems for x in generators]
     return SurfaceAlgebra(g, K, degrees)
-
-
-def rank(alg: SurfaceAlgebra, d: int) -> int:
-    """Rank of the degree-d graded piece."""
-    return alg.rank(d)
 
 
 def center_in_degree(alg: SurfaceAlgebra, d: int) -> list[GradedElement]:

@@ -12,8 +12,7 @@ The exact formula for q is reconstructed here (cubic monomials to wedges,
 lower degrees to zero): it is the minimal surjection with the kernel the
 pullback computation needs, every report carries the reconstruction flag, and
 the computed invariants depend only on those two properties, which are
-verified, not assumed.  Dimension counts are emitted both with and without
-the constant monomial since conventions differ.
+verified, not assumed.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from . import intlinalg
 from .enveloping import letter_name
 from .errors import CertificateError
 from .intlinalg import FgAbGroup, IntMatrix
-from .symplectic import SymplecticSpace, _cube_coords, wedge3
+from .symplectic import SymplecticSpace, wedge3
 
 Monomial = tuple[int, ...]  # strictly increasing letter indices; () is 1
 
@@ -173,9 +172,8 @@ class PullbackGroup:
     per wedge triple; the relation matrix presents the subgroup structure and
     invariants classifies the group.  q_reconstructed records that the
     cubic-to-wedge formula is this artifact's reconstruction.  The torsion
-    exponent (the number of Z/2 factors) and its count without the constant
-    monomial's factor are read off the computed invariants, never from the
-    dim B2 formula they are checked against.
+    exponent (the number of Z/2 factors) is read off the computed invariants,
+    never from the dim B2 formula it is checked against.
     """
 
     genus: int
@@ -192,10 +190,6 @@ class PullbackGroup:
     @property
     def torsion_exponent(self) -> int:
         return len(self.invariants.torsion)
-
-    @property
-    def torsion_exponent_without_constant(self) -> int:
-        return self.torsion_exponent - 1
 
 
 def _pullback_relations(g: int, kill_a: bool) -> tuple[tuple[Monomial, ...], IntMatrix]:
@@ -278,41 +272,3 @@ def projection_to_cube_surjective(g: int) -> bool:
         rows.append(vec)
     return intlinalg.cokernel(IntMatrix(rows, cols=n_free)) == FgAbGroup(0, ())
 
-
-def pullback_membership(g: int, p: BoolPoly, v: Sequence[int]) -> bool:
-    """Whether (p, v) lies in the fiber product: q(p) = v mod 2.
-
-    A polynomial at another genus raises ValueError, and a v without the
-    C(2g,3) coordinates of the cube raises DimensionMismatch."""
-    if p.genus != g:
-        raise ValueError(f"polynomial at genus {p.genus}, expected {g}")
-    v = _cube_coords(SymplecticSpace(g), v)
-    return all((x - y) % 2 == 0 for x, y in zip(v, q_map(p)))
-
-
-def decompose_pullback_element(
-    g: int, p: BoolPoly, v: Sequence[int]
-) -> tuple[dict, dict] | None:
-    """Coordinates of (p, v) over the presentation's generators, or None.
-
-    Returns ({monomial: 1}, {triple_position: coefficient}) such that the
-    element is sum of the chosen boolean generators plus even multiples of
-    the wedge generators; uniqueness modulo the relations is exactly the
-    presented structure.
-    """
-    space = SymplecticSpace(g)
-    v = _cube_coords(space, v)
-    if not pullback_membership(g, p, v):
-        return None
-    index = space.triple_index()
-    lift = [0] * comb(2 * g, 3)
-    for m in p.monomials:
-        if len(m) == 3:
-            t, sign = _cubic_wedge(g, m)
-            lift[index[t]] += sign
-    residue = [x - y for x, y in zip(v, lift)]
-    if any(r % 2 for r in residue):
-        raise CertificateError("the wedge lift of p differs from v by an odd vector")
-    bool_part = {m: 1 for m in p.monomials}
-    free_part = {i: r // 2 for i, r in enumerate(residue) if r}
-    return bool_part, free_part

@@ -175,11 +175,11 @@ def test_10_torelli_abelianization(report_g2, report_g3):
 
 
 def test_11_identity_viii(report_g2, report_g3):
-    with criterion(11, "commutator word identity, 10^3 trials"):
+    with criterion(11, "commutator word identity, on three free generators"):
         for rep in (report_g2, report_g3):
-            c = by_name(rep)["identity-viii-random"]
+            c = by_name(rep)["identity-viii-universal"]
             assert c.status == "pass"
-            assert c.expected == 1000 and c.actual == 1000
+            assert c.expected is True and c.actual is True
             assert c.runtime_ms < 10_000
 
 

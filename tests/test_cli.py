@@ -134,6 +134,26 @@ class TestRun:
             assert rep.passed
             assert len(calls) == 1
 
+    @pytest.mark.parametrize("genus", [2, 5])
+    def test_identity_viii_decided_once_on_free_generators(self, genus, monkeypatch):
+        # the universal entry substitutes three distinct letters, whatever
+        # the genus and the trials
+        calls = []
+        verify = cli.verify_identity_viii
+
+        def recorded(*words):
+            calls.append(tuple(w.letters for w in words))
+            return verify(*words)
+
+        monkeypatch.setattr(cli, "verify_identity_viii", recorded)
+        for trials in (1, 1000):
+            calls.clear()
+            rep = run(RunConfig(genus=genus, max_degree=2, suites=("identity-viii",), trials=trials))
+            check = {c.name: c for c in rep.checks}["identity-viii-universal"]
+            assert (check.status, check.expected, check.actual) == ("pass", True, True)
+            assert calls[-1] == ((1,), (2,), (3,))
+            assert len(calls) == 3  # two edge cases, one universal call
+
     def test_quotient_centers_skipped_at_degree_two(self):
         # range(2, K) is empty at K = 2, so there is no layer to test
         rep = run(RunConfig(genus=2, max_degree=2, suites=("nilpotent",), trials=5))
@@ -181,6 +201,16 @@ class TestMain:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["checks"]
+
+    @pytest.mark.parametrize("where", ["directory", "missing-directory"])
+    def test_unwritable_out_refused_before_any_suite(self, where, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setitem(cli._SUITES, "index-formula", lambda s: calls.append(s) or [])
+        out = tmp_path if where == "directory" else tmp_path / "missing" / "report.json"
+        assert main(["--suite", "index-formula", "--out", str(out)]) == 2
+        assert calls == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
 
     def test_module_invocation(self):
         proc = subprocess.run(
@@ -263,8 +293,8 @@ def test_nilpotent_suite_never_builds_the_graded_algebra(monkeypatch):
 
 
 def test_torsion_entries_read_the_computed_group(monkeypatch):
-    # with one Z/2 factor dropped from every pullback group, both torsion
-    # counts differ from their dim B2 formulas; neither entry may compare a
+    # with one Z/2 factor dropped from every pullback group, the torsion
+    # count differs from its dim B2 formula; the entry may not compare a
     # formula with itself
     real = intlinalg.cokernel
 
@@ -276,8 +306,7 @@ def test_torsion_entries_read_the_computed_group(monkeypatch):
     rep = run(RunConfig(genus=2, max_degree=3, suites=("torelli-h1",)))
     for check in rep.checks[:2]:
         assert check.status == "fail"
-        for entry in ("torsion_exponent", "torsion_exponent_without_constant_convention"):
-            assert check.actual[entry] == check.expected[entry] - 1, entry
+        assert check.actual["torsion_exponent"] == check.expected["torsion_exponent"] - 1
 
 
 def test_equivariance_trials_count_what_dense_products_count(monkeypatch):

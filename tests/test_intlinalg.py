@@ -837,13 +837,12 @@ class TestNonIntegralInput:
         # letters 1, 0), so every word entry point refuses it whole; string
         # entries of a sequence are still parsed
         from surfalg.enveloping import enveloping_algebra
-        from surfalg.freelie import HallWord, free_lie_algebra
+        from surfalg.freelie import free_lie_algebra
         from surfalg.nilpotent import GroupWord, expand
         from surfalg.torelli import BoolPoly
 
         refusals = {
             "poly": lambda w: enveloping_algebra(6).poly({w: 1}),
-            "hall": lambda w: HallWord(free_lie_algebra(12), w),
             "element": lambda w: free_lie_algebra(12).element({w: 1}),
             "group": lambda w: GroupWord(6, w),
             "bool": lambda w: BoolPoly(6, [w]),

@@ -18,7 +18,6 @@ from surfalg.surface import (
     build,
     center_in_degree,
     omega_element,
-    rank,
     verify_center_theorem,
 )
 
@@ -209,9 +208,9 @@ class TestCenter:
 
 
 def test_rank_function(alg_g2):
-    assert rank(alg_g2, 3) == 16
+    assert alg_g2.rank(3) == 16
     with pytest.raises(ValueError):
-        rank(alg_g2, 6)
+        alg_g2.rank(6)
 
 
 def test_graded_element_validation(alg_g2):
