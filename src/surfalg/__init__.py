@@ -32,7 +32,6 @@ from .intlinalg import (
     is_direct_summand,
     saturate,
     snf,
-    verify_summand_transfer,
 )
 
 __all__ = [
@@ -53,6 +52,5 @@ __all__ = [
     "surface",
     "symplectic",
     "torelli",
-    "verify_summand_transfer",
     "__version__",
 ]

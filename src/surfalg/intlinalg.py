@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Set as AbstractSet
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import CertificateError
 
@@ -430,10 +430,6 @@ def row_span_hnf(a: IntMatrix) -> IntMatrix:
     return IntMatrix._of(h, a.cols)
 
 
-def rank(a: IntMatrix) -> int:
-    return len(_pivots(a))
-
-
 def same_row_span(a: IntMatrix, b: IntMatrix) -> bool:
     if a.cols != b.cols:
         raise DimensionMismatch("ambient dimensions differ")
@@ -555,7 +551,7 @@ def is_direct_summand(span_gens: IntMatrix, ambient_rank: int) -> bool:
     """Whether the row span L is a saturated submodule (a direct summand) of
     Z^ambient_rank, i.e. whether Z^ambient_rank / L is torsion-free.
 
-    The echelon rows B of span_gens (memoized, shared with `rank` and
+    The echelon rows B of span_gens (memoized, shared with
     `row_span_contains`) are r = rank independent rows spanning L.  A
     transform-free echelon of the transpose brings it, by unimodular row
     operations U, to an r x r triangular block T over zero rows; then
@@ -587,37 +583,6 @@ def saturate(span_gens: IntMatrix, ambient_rank: int) -> IntMatrix:
             f"generators live in Z^{span_gens.cols}, ambient is Z^{ambient_rank}"
         )
     return row_span_hnf(kernel(kernel(span_gens)))
-
-
-class SummandTransfer(NamedTuple):
-    """Verdict pair for the retract-transfer property of composed maps.
-
-    composite_gives_summand: the image of l3 @ l1 is a direct summand of full
-    rank (the rank of l1's domain).  factor_gives_summand: the image of l1 is
-    a direct summand.  The tuple is truthy iff the implication
-    composite => factor holds on this instance.
-    """
-
-    composite_gives_summand: bool
-    factor_gives_summand: bool
-
-    def __bool__(self) -> bool:
-        return (not self.composite_gives_summand) or self.factor_gives_summand
-
-
-def verify_summand_transfer(l1: IntMatrix, l3: IntMatrix) -> SummandTransfer:
-    """Check, on one instance, that a split-injective composite forces l1 split.
-
-    l1 and l3 are matrices of maps in the column convention, so the composite
-    is l3 @ l1; images are taken as row spans of the transposes.
-    """
-    if l3.cols != l1.rows:
-        raise DimensionMismatch(f"cannot compose {l3.shape} after {l1.shape}")
-    l2 = l3 @ l1
-    im_l2 = l2.transpose()
-    composite = is_direct_summand(im_l2, l2.rows) and rank(im_l2) == l1.cols
-    factor = is_direct_summand(l1.transpose(), l1.rows)
-    return SummandTransfer(composite, factor)
 
 
 def cokernel(a: IntMatrix) -> FgAbGroup:

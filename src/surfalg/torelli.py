@@ -111,12 +111,13 @@ def _interleaved_to_block(g: int, i: int) -> int:
     return i // 2 if i % 2 == 0 else g + i // 2
 
 
-def _cubic_wedge(g: int, m: Monomial) -> tuple[tuple[int, int, int], int]:
-    """Sorted block-order triple and sign of the wedge of a cubic monomial."""
+def _cubic_wedge(g: int, m: Monomial) -> tuple[int, int, int]:
+    """Sorted block-order triple of the wedge of a cubic monomial (its sign
+    is invisible mod 2)."""
     w = wedge3(*(_interleaved_to_block(g, i) for i in m))
     if w is None:
         raise CertificateError(f"cubic monomial {m} repeats a letter")
-    return w
+    return w[0]
 
 
 def q_map(p: BoolPoly) -> tuple[int, ...]:
@@ -132,8 +133,7 @@ def q_map(p: BoolPoly) -> tuple[int, ...]:
     for m in p.monomials:
         if len(m) != 3:
             continue
-        t, _ = _cubic_wedge(g, m)  # signs are invisible mod 2
-        out[index[t]] ^= 1
+        out[index[_cubic_wedge(g, m)]] ^= 1
     return tuple(out)
 
 
@@ -209,8 +209,7 @@ def _pullback_relations(g: int, kill_a: bool) -> tuple[tuple[Monomial, ...], Int
         row = [0] * cols
         row[pos] = 2
         if len(m) == 3:
-            t, _ = _cubic_wedge(g, m)
-            row[n_bool + index[t]] = -1
+            row[n_bool + index[_cubic_wedge(g, m)]] = -1
         rows.append(row)
     if kill_a:
         row = [0] * cols
@@ -263,8 +262,7 @@ def projection_to_cube_surjective(g: int) -> bool:
     for m in bool_basis(g, 3):
         vec = [0] * n_free
         if len(m) == 3:
-            t, _ = _cubic_wedge(g, m)
-            vec[index[t]] = 1
+            vec[index[_cubic_wedge(g, m)]] = 1
         rows.append(vec)
     for t_pos in range(n_free):
         vec = [0] * n_free
