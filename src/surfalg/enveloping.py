@@ -107,7 +107,13 @@ class EnvelopingAlgebra(_RewriteRing):
     # -- reduced-word bases --------------------------------------------------
 
     def reduced_words(self, degree: int) -> tuple[tuple[int, ...], ...]:
-        """All normal-form words of the given length, lexicographically."""
+        """All normal-form words of the given length, lexicographically.
+
+        Each degree extends the cached words one degree shorter by one letter,
+        dropping the leading word at the new junction.  The shorter words are
+        in lexicographic order and each is extended by letters in increasing
+        order, so the result is in lexicographic order too.
+        """
         cached = self._words_cache.get(degree)
         if cached is not None:
             return cached
@@ -115,20 +121,17 @@ class EnvelopingAlgebra(_RewriteRing):
             raise ResourceLimitExceeded(
                 f"degree-{degree} reduced basis at genus {self.genus} is beyond desk scale"
             )
-        l0, l1 = self.lead
-        out: list[tuple[int, ...]] = []
-
-        def extend(word: tuple[int, ...]):
-            if len(word) == degree:
-                out.append(word)
-                return
-            for letter in range(self.n_letters):
-                if word and word[-1] == l0 and letter == l1:
-                    continue
-                extend(word + (letter,))
-
-        extend(())
-        cached = tuple(out)
+        if degree == 0:
+            cached = ((),)
+        else:
+            l0, l1 = self.lead
+            letters = tuple(range(self.n_letters))
+            after_l0 = tuple(x for x in letters if x != l1)
+            cached = tuple(
+                w + (x,)
+                for w in self.reduced_words(degree - 1)
+                for x in (after_l0 if w[-1:] == (l0,) else letters)
+            )
         self._words_cache[degree] = cached
         return cached
 
@@ -266,35 +269,58 @@ def hilbert_dimension(genus: int, degree: int) -> int:
     return prev1
 
 
+class _CommutatorRows:
+    """The rows w -> w*x - x*w of one letter x, each built when looked up.
+
+    Keyed by the position of w in `words`, a tuple of reduced words of one
+    degree; each row is a dict over the product words.  A reduced word meets
+    the rewrite rule only at its junction with x, so only a row whose w*x ends
+    in the leading word, or whose x*w starts with it, goes through the
+    rewrite kernel; every other row is w*x minus x*w as they stand.
+    """
+
+    def __init__(self, algebra: EnvelopingAlgebra, words: tuple, letter: int):
+        self.algebra = algebra
+        self.words = words
+        self.letter = letter
+
+    def __getitem__(self, i: int) -> dict:
+        alg, w, x = self.algebra, self.words[i], self.letter
+        l0, l1 = alg.lead
+        if (w[-1] == l0 and x == l1) or (x == l0 and w[0] == l1):
+            row = alg.mul_letter_raw({w: 1}, x, False)
+            intlinalg._axpy(row, alg.mul_letter_raw({w: 1}, x, True), -1)
+            return row
+        wx, xw = w + (x,), (x,) + w
+        return {wx: 1, xw: -1} if wx != xw else {}
+
+
 def center_in_degree_assoc(genus: int, degree: int) -> list[NcPoly]:
     """Basis of degree-d elements commuting with every generator.
 
     Each letter x gives one map into degree d+1, w -> w*x - x*w on the
-    reduced words, built by letter products (a reduced word meets the
-    rewrite rule only next to x), and the basis is their common integer left
-    kernel; the maps are built one at a time and stop once the kernel is
-    empty.  Empty for d >= 1 is the degreewise shadow of the quotient having
-    scalar center.
+    reduced words, and the basis is their common integer left kernel; the
+    maps are taken one at a time and stop once the kernel is empty.  A map's
+    columns are the degree-(d+1) product words themselves: words of one
+    length compare lexicographically, the order of `reduced_words`, so the
+    echelon meets the same pivots as on column indices, and the degree-(d+1)
+    basis is never built.  A map's rows are built lazily (`_CommutatorRows`),
+    only for the words in the support of the kernel basis that reaches it:
+    the first letter needs every row, and it leaves a single kernel vector,
+    a1^d, in every case tried (g = 2..5, d <= 5).  So the cap reads the size
+    of the degree-d basis, one first-letter row per word.  Empty for d >= 1
+    is the degreewise shadow of the quotient having scalar center.
     """
     if degree < 1:
         raise ValueError("degree must be at least 1")
     alg = enveloping_algebra(genus)
-    if hilbert_dimension(genus, degree + 1) > _DIMENSION_CAP:
+    if hilbert_dimension(genus, degree) > _DIMENSION_CAP:
         raise ResourceLimitExceeded(
             f"center system at genus {genus}, degree {degree} is beyond desk scale"
         )
     basis = alg.reduced_words(degree)
-    index = alg.word_index(degree + 1)
-
-    def commutator_map(letter: int) -> list[dict]:
-        rows = []
-        for w in basis:
-            img = alg.mul_letter_raw({w: 1}, letter, False)
-            intlinalg._axpy(img, alg.mul_letter_raw({w: 1}, letter, True), -1)
-            rows.append({index[ww]: cc for ww, cc in img.items()})
-        return rows
-
-    combos = intlinalg.common_left_kernel(len(basis), map(commutator_map, range(alg.n_letters)))
+    maps = (_CommutatorRows(alg, basis, x) for x in range(alg.n_letters))
+    combos = intlinalg.common_left_kernel(len(basis), maps)
     return [NcPoly(alg, {basis[i]: c for i, c in combo.items()}) for combo in combos]
 
 

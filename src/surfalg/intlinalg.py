@@ -359,10 +359,14 @@ def common_left_kernel(n: int, maps: Iterable[Sequence[dict]]) -> list[dict]:
     the span of K, so B stays a basis of the common kernel: the same lattice
     as the left kernel of all the maps stacked side by side.  maps is
     consumed lazily: once the basis is empty, the maps after it are never
-    built.
+    built.  On the unit vectors a map's images are its rows, so the first
+    map is echeloned as it is; `sparse_echelon` reads each row once, in
+    order, so rows built on lookup are dropped once echeloned.
     """
-    basis = [{i: 1} for i in range(n)]
     maps = iter(maps)
+    if not n or (rows := next(maps, None)) is None:
+        return [{i: 1} for i in range(n)]
+    _, basis = sparse_echelon((rows[i] for i in range(n)), want_kernel=True)
     while basis and (rows := next(maps, None)) is not None:
         images = [_combination(b, rows) for b in basis]
         basis = [_combination(k, basis) for k in sparse_left_kernel(images)]

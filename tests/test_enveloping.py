@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surfalg import intlinalg
 from surfalg.enveloping import (
     NcPoly,
+    _CommutatorRows,
     center_in_degree_assoc,
     enveloping_algebra,
     hilbert_dimension,
@@ -143,6 +145,21 @@ class TestHilbert:
         for d in range(5):
             assert len(alg.reduced_words(d)) == hilbert_dimension(genus, d)
 
+    @pytest.mark.parametrize("genus", [1, 2, 3])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4, 5])
+    def test_reduced_words_are_the_ordered_filter(self, genus, degree):
+        alg = enveloping_algebra(genus)
+        l0, l1 = alg.lead
+        brute = tuple(
+            w
+            for w in itertools.product(range(2 * genus), repeat=degree)
+            if not any(w[i] == l0 and w[i + 1] == l1 for i in range(degree - 1))
+        )
+        words = alg.reduced_words(degree)
+        assert words == brute  # product() enumerates in lexicographic order
+        assert list(words) == sorted(words)
+        assert alg.reduced_words(degree) is words
+
 
 class TestCenter:
     @pytest.mark.parametrize("genus,degree", [(2, 1), (2, 2), (3, 1), (3, 2)])
@@ -162,43 +179,35 @@ class TestCenter:
 
 
 class TestCommutatorMapsMatchGenericProducts:
-    """center_in_degree_assoc's letter-product maps against the maps it built
-    with two generic products per (word, letter), kept here as the oracle."""
+    """center_in_degree_assoc's lazy, word-keyed rows against two generic
+    products per (word, letter), and its kernel against the common left
+    kernel of the full index-keyed generic maps, the path it replaced, kept
+    here as the oracle."""
 
     @staticmethod
-    def generic_maps(genus, degree):
-        alg = enveloping_algebra(genus)
-        basis = alg.reduced_words(degree)
-        index = alg.word_index(degree + 1)
-        maps = []
-        for letter in range(alg.n_letters):
-            gen = {(letter,): 1}
-            rows = []
-            for w in basis:
-                img = alg.mul_raw({w: 1}, gen)
-                for ww, cc in alg.mul_raw(gen, {w: 1}).items():
-                    img[ww] = img.get(ww, 0) - cc
-                rows.append({index[ww]: cc for ww, cc in img.items() if cc})
-            maps.append(rows)
-        return maps
+    def generic_row(alg, word, letter):
+        gen = {(letter,): 1}
+        row = alg.mul_raw({word: 1}, gen)
+        for ww, cc in alg.mul_raw(gen, {word: 1}).items():
+            row[ww] = row.get(ww, 0) - cc
+        return {ww: cc for ww, cc in row.items() if cc}
 
     @pytest.mark.parametrize("genus,degree", [(g, d) for g in (1, 2, 3) for d in (1, 2, 3, 4)])
-    def test_rows_and_kernel(self, genus, degree, monkeypatch):
-        from surfalg import intlinalg
-
-        seen = []
-        kernel = intlinalg.common_left_kernel
-
-        def recording(n, maps):
-            # every map is built, so each row is compared, not only those
-            # reached before the kernel empties
-            maps = list(maps)
-            seen.extend(maps)
-            return kernel(n, maps)
-
-        monkeypatch.setattr(intlinalg, "common_left_kernel", recording)
+    def test_rows_and_kernel(self, genus, degree):
+        alg = enveloping_algebra(genus)
+        basis = alg.reduced_words(degree)
+        generic_maps = []
+        for letter in range(alg.n_letters):
+            rows = _CommutatorRows(alg, basis, letter)
+            generic = [self.generic_row(alg, w, letter) for w in basis]
+            # every row is compared, not only those the kernel reaches
+            assert [rows[i] for i in range(len(basis))] == generic
+            generic_maps.append(generic)
+        index = alg.word_index(degree + 1)
+        indexed = [[{index[ww]: cc for ww, cc in row.items()} for row in m] for m in generic_maps]
+        oracle = intlinalg.common_left_kernel(len(basis), indexed)
         got = center_in_degree_assoc(genus, degree)
-        assert seen == self.generic_maps(genus, degree)
+        assert got == [NcPoly(alg, {basis[i]: c for i, c in combo.items()}) for combo in oracle]
         # genus 1 is commutative, so every word of the degree is central
         assert len(got) == (hilbert_dimension(genus, degree) if genus == 1 else 0)
 
