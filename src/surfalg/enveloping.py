@@ -23,7 +23,8 @@ _DIMENSION_CAP = 100_000
 
 
 def letter_name(index: int) -> str:
-    """Project-wide letter naming: 2k -> a_{k+1}, 2k+1 -> b_{k+1}."""
+    """Project-wide letter naming: 2k -> a_{k+1}, 2k+1 -> b_{k+1}, the basis
+    order of H fixed in the `symplectic` module docstring."""
     return f"{'ab'[index % 2]}{index // 2 + 1}"
 
 

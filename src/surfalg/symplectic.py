@@ -1,12 +1,21 @@
 """The symplectic lattice, its exterior-cube action, and the point-push image.
 
-H = Z^(2g) carries the standard form (0 I; -I 0) in the block basis
-a1..ag, b1..bg.  The integral symplectic group acts on the third exterior
-power; this module builds the five standard generator families, the induced
-exterior-cube matrices, the contraction map realizing the splitting off of H,
-the image of the point-push generators under the first Johnson map, and the
-commutant certificate that pins down the unique 2g-dimensional invariant
-subspace for every g >= 3, solved on the weight blocks of the action.
+The convention, fixed here for the whole package: H = Z^(2g) has the basis
+a1, b1, a2, b2, ..., ag, bg in the letter order, so index 2k is a_(k+1) and
+2k + 1 is b_(k+1) (`enveloping.letter_name` names index i).  The form is
+w(a_i, b_i) = 1 = -w(b_i, a_i), all other pairings 0, so index 2k pairs with
+2k + 1, and theta = sum_i a_i ^ b_i.  The exterior cube has the sorted
+triples i < j < k of these indices as its basis.  The letters of a
+`nilpotent.GroupWord`, the free Lie and enveloping generators and the
+variables of a `torelli` monomial index the same basis, so a cubic monomial
+and its wedge share one triple.
+
+The integral symplectic group acts on the third exterior power; this module
+builds the five standard generator families, the induced exterior-cube
+matrices, the contraction map realizing the splitting off of H, the image of
+the point-push generators under the first Johnson map, and the commutant
+certificate that pins down the unique 2g-dimensional invariant subspace for
+every g >= 3, solved on the weight blocks of the action.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import intlinalg
 from .intlinalg import IntMatrix
@@ -23,7 +32,7 @@ from .intlinalg import IntMatrix
 
 @dataclass(frozen=True)
 class SymplecticSpace:
-    """Z^(2g) with basis a1..ag, b1..bg (block order) and the standard form."""
+    """Z^(2g) with basis a1, b1, ..., ag, bg (letter order) and the standard form."""
 
     genus: int
 
@@ -35,49 +44,21 @@ class SymplecticSpace:
     def dim(self) -> int:
         return 2 * self.genus
 
-    def label(self, index: int) -> str:
-        """Name of basis vector index: a1..ag for 0..g-1, b1..bg for g..2g-1.
-
-        The inverse of `index_of`; any other index raises ValueError."""
-        g = self.genus
-        if not isinstance(index, int) or not 0 <= index < 2 * g:
-            raise ValueError(f"no basis vector {index!r} at genus {g}")
-        return f"a{index + 1}" if index < g else f"b{index - g + 1}"
-
-    def index_of(self, label: str) -> int:
-        """Index of the basis vector named label; the inverse of `label`.
-
-        Only the 2g names `label` gives are accepted: 'a0', 'b7' at genus 3,
-        'a01' and non-strings raise ValueError."""
-        for index in range(self.dim):
-            if label == self.label(index):
-                return index
-        raise ValueError(f"unknown label {label!r} at genus {self.genus}")
-
     def form_matrix(self) -> IntMatrix:
-        g = self.genus
-        rows = [[0] * 2 * g for _ in range(2 * g)]
-        for i in range(g):
-            rows[i][g + i] = 1
-            rows[g + i][i] = -1
-        return IntMatrix(rows)
+        """The matrix of w: row 2k is e_(2k+1), row 2k + 1 is -e_(2k)."""
+        return IntMatrix._of(({i + 1: 1} if i % 2 == 0 else {i - 1: -1} for i in range(self.dim)), self.dim)
 
     def pairing(self, i: int, j: int) -> int:
-        g = self.genus
-        if j == i + g:
-            return 1
-        if i == j + g:
-            return -1
-        return 0
+        """w(e_i, e_j): 1 for (a_k, b_k), -1 for (b_k, a_k), else 0."""
+        if i // 2 != j // 2 or i == j:
+            return 0
+        return 1 if i % 2 == 0 else -1
 
     def triples(self) -> tuple[tuple[int, int, int], ...]:
         return tuple(combinations(range(self.dim), 3))
 
     def triple_index(self) -> dict:
         return {t: i for i, t in enumerate(self.triples())}
-
-    def triple_label(self, t: tuple[int, int, int]) -> str:
-        return "^".join(self.label(i) for i in t)
 
 
 def wedge3(i: int, j: int, k: int) -> tuple[tuple[int, int, int], int] | None:
@@ -95,81 +76,14 @@ def wedge3(i: int, j: int, k: int) -> tuple[tuple[int, int, int], int] | None:
     return (a, b, c), sign
 
 
-class ExtVector:
-    """Element of the third exterior power, coordinates over sorted triples."""
-
-    __slots__ = ("space", "coords")
-
-    def __init__(self, space: SymplecticSpace, coords: Iterable[int]):
-        self.space = space
-        self.coords = _cube_coords(space, coords)
-
-    @classmethod
-    def zero(cls, space: SymplecticSpace) -> "ExtVector":
-        return cls(space, [0] * len(space.triples()))
-
-    @classmethod
-    def wedge(cls, space: SymplecticSpace, i: int, j: int, k: int) -> "ExtVector":
-        for index in (i, j, k):
-            space.label(index)  # refuses an index outside the basis
-        coords = [0] * len(space.triples())
-        w = wedge3(i, j, k)
-        if w is not None:
-            t, sign = w
-            coords[space.triple_index()[t]] = sign
-        return cls(space, coords)
-
-    def __add__(self, other: "ExtVector") -> "ExtVector":
-        if self.space != other.space:
-            raise ValueError("different spaces")
-        return ExtVector(self.space, [x + y for x, y in zip(self.coords, other.coords)])
-
-    def __neg__(self) -> "ExtVector":
-        return ExtVector(self.space, [-x for x in self.coords])
-
-    def __sub__(self, other: "ExtVector") -> "ExtVector":
-        return self + (-other)
-
-    def __rmul__(self, scalar: int) -> "ExtVector":
-        return ExtVector(self.space, [scalar * x for x in self.coords])
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coords)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtVector)
-            and self.space == other.space
-            and self.coords == other.coords
-        )
-
-    def __repr__(self):
-        bits = [
-            f"{c}*{self.space.triple_label(t)}"
-            for t, c in zip(self.space.triples(), self.coords)
-            if c
-        ]
-        return "ExtVector(" + (" + ".join(bits) if bits else "0") + ")"
-
-
-def _cube_coords(space: SymplecticSpace, v: ExtVector | Iterable[int]) -> tuple[int, ...]:
-    """v's coordinates over the sorted triples: an ExtVector's own, or a
-    sequence's as `intlinalg._int_row` reads them.  Any length but C(2g,3)
-    raises DimensionMismatch."""
-    coords = v.coords if isinstance(v, ExtVector) else intlinalg._int_row(v)
-    n = comb(space.dim, 3)
-    if len(coords) != n:
-        raise intlinalg.DimensionMismatch(f"expected {n} coordinates, got {len(coords)}")
-    return coords
-
-
 @dataclass(frozen=True)
 class SpGenerator:
     """One lambda=1 instance of the five standard generator families.
 
     family is one of upper-ii, lower-ii, upper-sym, lower-sym, unit-shear;
-    i, j are the 0-based block indices that instantiate it.  The matrix is
-    checked against the form at construction.
+    i, j are the 0-based handle indices that instantiate it (handle i has
+    a at basis index 2i and b at 2i + 1).  The matrix is checked against the
+    form at construction.
     """
 
     space: SymplecticSpace
@@ -182,36 +96,6 @@ class SpGenerator:
         j = self.space.form_matrix()
         if self.matrix.transpose() @ j @ self.matrix != j:
             raise ValueError(f"{self.family}({self.i},{self.j}) does not preserve the form")
-
-
-def _block_matrix(g: int, top_right=None, bottom_left=None, top_left=None, bottom_right=None):
-    rows = [[0] * 2 * g for _ in range(2 * g)]
-    for r in range(g):
-        for c in range(g):
-            rows[r][c] = (top_left or _eye(g))[r][c]
-            rows[g + r][g + c] = (bottom_right or _eye(g))[r][c]
-            if top_right is not None:
-                rows[r][g + c] = top_right[r][c]
-            if bottom_left is not None:
-                rows[g + r][c] = bottom_left[r][c]
-    return IntMatrix(rows)
-
-
-def _eye(g: int):
-    return [[1 if r == c else 0 for c in range(g)] for r in range(g)]
-
-
-def _unit(g: int, i: int, j: int):
-    m = [[0] * g for _ in range(g)]
-    m[i][j] = 1
-    return m
-
-
-def _sym(g: int, i: int, j: int):
-    m = [[0] * g for _ in range(g)]
-    m[i][j] += 1
-    m[j][i] += 1
-    return m
 
 
 def sp_generators(g: int) -> tuple[SpGenerator, ...]:
@@ -227,28 +111,35 @@ def sp_generators(g: int) -> tuple[SpGenerator, ...]:
 
 @lru_cache(maxsize=None)
 def _sp_generators(g: int) -> tuple[SpGenerator, ...]:
+    """Each generator is the identity plus one or two entries E(row, col):
+    upper-ii    I + E(a_i, b_i)
+    lower-ii    I + E(b_i, a_i)
+    lower-sym   I + E(b_i, a_j) + E(b_j, a_i), i < j
+    upper-sym   I + E(a_i, b_j) + E(a_j, b_i), i < j
+    unit-shear  I + E(a_i, a_j) - E(b_j, b_i), i != j
+    """
     space = SymplecticSpace(g)
-    out = []
-    for i in range(g):
-        out.append(SpGenerator(space, "upper-ii", i, i, _block_matrix(g, top_right=_unit(g, i, i))))
-    for i in range(g):
-        out.append(SpGenerator(space, "lower-ii", i, i, _block_matrix(g, bottom_left=_unit(g, i, i))))
-    for i in range(g):
-        for j in range(i + 1, g):
-            out.append(SpGenerator(space, "lower-sym", i, j, _block_matrix(g, bottom_left=_sym(g, i, j))))
-    for i in range(g):
-        for j in range(i + 1, g):
-            out.append(SpGenerator(space, "upper-sym", i, j, _block_matrix(g, top_right=_sym(g, i, j))))
-    for i in range(g):
-        for j in range(g):
-            if i == j:
-                continue
-            tl = _eye(g)
-            tl[i][j] += 1
-            br = _eye(g)
-            br[j][i] -= 1
-            out.append(SpGenerator(space, "unit-shear", i, j, _block_matrix(g, top_left=tl, bottom_right=br)))
-    return tuple(out)
+    n = space.dim
+
+    def gen(family, i, j, entries):
+        rows = [{r: 1} for r in range(n)]
+        for (r, c), x in entries.items():
+            rows[r][c] = x
+        return SpGenerator(space, family, i, j, IntMatrix._of(rows, n))
+
+    pairs = [(i, j) for i in range(g) for j in range(i + 1, g)]
+    return (
+        *(gen("upper-ii", i, i, {(2 * i, 2 * i + 1): 1}) for i in range(g)),
+        *(gen("lower-ii", i, i, {(2 * i + 1, 2 * i): 1}) for i in range(g)),
+        *(gen("lower-sym", i, j, {(2 * i + 1, 2 * j): 1, (2 * j + 1, 2 * i): 1}) for i, j in pairs),
+        *(gen("upper-sym", i, j, {(2 * i, 2 * j + 1): 1, (2 * j, 2 * i + 1): 1}) for i, j in pairs),
+        *(
+            gen("unit-shear", i, j, {(2 * i, 2 * j): 1, (2 * j + 1, 2 * i + 1): -1})
+            for i in range(g)
+            for j in range(g)
+            if i != j
+        ),
+    )
 
 
 def generator_actions(g: int) -> tuple[tuple[SpGenerator, IntMatrix], ...]:
@@ -321,54 +212,48 @@ def lambda3_action(m: IntMatrix | SpGenerator) -> IntMatrix:
 
 def contraction_matrix(space: SymplecticSpace) -> IntMatrix:
     """Matrix of x^y^z -> w(x,y) z - w(x,z) y + w(y,z) x, shape 2g x C(2g,3)."""
-    n = space.dim
-    cols = []
-    for (i, j, k) in space.triples():
-        col = [0] * n
-        col[k] += space.pairing(i, j)
-        col[j] -= space.pairing(i, k)
-        col[i] += space.pairing(j, k)
-        cols.append(col)
-    return IntMatrix([[cols[c][r] for c in range(len(cols))] for r in range(n)])
+    w = space.pairing
+    cols = (
+        {t: x for t, x in ((k, w(i, j)), (j, -w(i, k)), (i, w(j, k))) if x} for i, j, k in space.triples()
+    )
+    return IntMatrix._of(cols, space.dim).transpose()
 
 
-def contraction(v: ExtVector | Sequence[int], space: SymplecticSpace) -> tuple[int, ...]:
-    """Contraction of an exterior-cube vector down to H; linear and
-    equivariant for the symplectic action."""
-    coords = _cube_coords(space, v)
+def contraction(v: Sequence[int], space: SymplecticSpace) -> tuple[int, ...]:
+    """Contraction of an exterior-cube vector, its coordinates over the sorted
+    triples, down to H; linear and equivariant for the symplectic action.
+    The sequence is read as `intlinalg._int_row` reads it, and any length
+    but C(2g,3) raises DimensionMismatch."""
+    coords = intlinalg._int_row(v)
+    n = comb(space.dim, 3)
+    if len(coords) != n:
+        raise intlinalg.DimensionMismatch(f"expected {n} coordinates, got {len(coords)}")
     rows = contraction_matrix(space).sparse_rows
     return tuple(sum(x * coords[i] for i, x in row.items()) for row in rows)
 
 
-def theta_wedge(space: SymplecticSpace, vec: Sequence[int]) -> ExtVector:
-    """theta ^ v with theta = sum_i a_i ^ b_i, for v in H = Z^(2g)."""
-    g = space.genus
+def theta_wedge(space: SymplecticSpace, vec: Sequence[int]) -> dict:
+    """theta ^ v with theta = sum_k a_k ^ b_k, for v in H = Z^(2g), as a sparse
+    row {triple index: coefficient} over the sorted triples."""
     vec = intlinalg._int_row(vec)
     if len(vec) != space.dim:
         raise intlinalg.DimensionMismatch(f"expected {space.dim} coordinates, got {len(vec)}")
     index = space.triple_index()
-    coords = [0] * len(space.triples())
-    for k in range(g):
-        for m, c in enumerate(vec):
-            if not c:
-                continue
-            w = wedge3(k, g + k, m)
-            if w is None:
-                continue
-            t, sign = w
-            coords[index[t]] += sign * c
-    return ExtVector(space, coords)
-
-
-def theta_section_matrix(space: SymplecticSpace) -> IntMatrix:
-    """Matrix of v -> theta ^ v, shape C(2g,3) x 2g."""
-    n = space.dim
-    cols = [theta_wedge(space, [1 if r == m else 0 for r in range(n)]).coords for m in range(n)]
-    return IntMatrix([[cols[c][r] for c in range(n)] for r in range(len(space.triples()))], cols=n)
+    row = {}
+    for m, c in enumerate(vec):
+        if not c:
+            continue
+        for a in range(0, space.dim, 2):
+            w = wedge3(a, a + 1, m)
+            if w is not None:
+                t, sign = w
+                row[index[t]] = sign * c  # (a, m) fixes the triple, so no two terms meet
+    return row
 
 
 def johnson_image(g: int) -> IntMatrix:
-    """Rows theta^a1, theta^b1, ..., theta^ag, theta^bg in triple coordinates.
+    """Rows theta^e_m for m in basis order, theta^a1, theta^b1, ..., theta^bg,
+    in triple coordinates.
 
     For g >= 2 these are independent and span a direct summand (unit
     invariant factors): the point-push generators hit a partial basis.
@@ -376,23 +261,20 @@ def johnson_image(g: int) -> IntMatrix:
     if g < 2:
         raise ValueError("genus must be at least 2")
     space = SymplecticSpace(g)
-    rows = []
-    for k in range(g):
-        for idx in (k, g + k):  # a_{k+1}, b_{k+1} in the project label order
-            basis_vec = [1 if m == idx else 0 for m in range(space.dim)]
-            rows.append(theta_wedge(space, basis_vec).coords)
-    return IntMatrix(rows, cols=len(space.triples()))
+    n = space.dim
+    rows = [theta_wedge(space, [int(r == m) for r in range(n)]) for m in range(n)]
+    return IntMatrix._of(rows, comb(n, 3))
 
 
 def _weight_block_entries(g: int) -> tuple[tuple[int, int], ...]:
     """The entries (k, c) of an n x n matrix over the cube's basis triples
     whose two triples have the same weight, row k by row k.  Slot m of a
-    triple's weight counts +1 for a_m and -1 for b_m."""
+    triple's weight counts +1 for a_m (index 2m) and -1 for b_m (2m + 1)."""
     weights = []
     for t in SymplecticSpace(g).triples():
         w = [0] * g
         for i in t:
-            w[i % g] += 1 if i < g else -1
+            w[i // 2] += -1 if i % 2 else 1
         weights.append(tuple(w))
     blocks: dict = {}
     for c, w in enumerate(weights):
@@ -468,10 +350,10 @@ def commutant_dimension(g: int) -> int:
 def h_projector(space: SymplecticSpace) -> IntMatrix:
     """(g-1) times the projection onto the copy of H, as an integer matrix.
 
-    P = section . contraction satisfies P^2 = (g-1) P and commutes with the
-    action; it witnesses, constructively, one nontrivial element of the
-    commutant."""
-    return theta_section_matrix(space) @ contraction_matrix(space)
+    P = section . contraction, the section v -> theta ^ v being the transpose
+    of `johnson_image`, satisfies P^2 = (g-1) P and commutes with the action;
+    it witnesses, constructively, one nontrivial element of the commutant."""
+    return johnson_image(space.genus).transpose() @ contraction_matrix(space)
 
 
 class RoundtripReport(NamedTuple):

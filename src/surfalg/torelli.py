@@ -1,12 +1,13 @@
 """Boolean-polynomial algebra and the abelianization pullbacks.
 
-Boolean polynomials on the 2g idempotent indeterminates a1, b1, ..., ag, bg
-carry the 2-torsion of the relevant abelianizations; the cubic-to-wedge map q
-links them to the exterior cube mod 2.  The fiber products of interest are
-presented by explicit integer generator/relation matrices and classified via
-Smith normal form: generators are the boolean basis monomials (order 2) plus
-a free generator per wedge triple, relations say twice a boolean generator is
-the wedge lift of its q-image.
+Boolean polynomials on the 2g idempotent indeterminates a1, b1, ..., ag, bg,
+indexed as the basis of H in `symplectic` (its module docstring fixes the
+convention), carry the 2-torsion of the relevant abelianizations; the
+cubic-to-wedge map q links them to the exterior cube mod 2.  The fiber
+products of interest are presented by explicit integer generator/relation
+matrices and classified via Smith normal form: generators are the boolean
+basis monomials (order 2) plus a free generator per wedge triple, relations
+say twice a boolean generator is the wedge lift of its q-image.
 
 The exact formula for q is reconstructed here (cubic monomials to wedges,
 lower degrees to zero): it is the minimal surjection with the kernel the
@@ -24,9 +25,8 @@ from typing import Iterable, Sequence
 
 from . import intlinalg
 from .enveloping import letter_name
-from .errors import CertificateError
 from .intlinalg import FgAbGroup, IntMatrix
-from .symplectic import SymplecticSpace, wedge3
+from .symplectic import SymplecticSpace
 
 Monomial = tuple[int, ...]  # strictly increasing letter indices; () is 1
 
@@ -106,34 +106,19 @@ def element_a(g: int) -> BoolPoly:
     return BoolPoly(g, [(2 * k, 2 * k + 1) for k in range(g)], degree_bound=2)
 
 
-def _interleaved_to_block(g: int, i: int) -> int:
-    # project letter order a1,b1,a2,... -> block order a1..ag,b1..bg
-    return i // 2 if i % 2 == 0 else g + i // 2
-
-
-def _cubic_wedge(g: int, m: Monomial) -> tuple[int, int, int]:
-    """Sorted block-order triple of the wedge of a cubic monomial (its sign
-    is invisible mod 2)."""
-    w = wedge3(*(_interleaved_to_block(g, i) for i in m))
-    if w is None:
-        raise CertificateError(f"cubic monomial {m} repeats a letter")
-    return w[0]
-
-
 def q_map(p: BoolPoly) -> tuple[int, ...]:
     """Mod-2 image in the exterior cube: cubic monomials to wedges, lower
-    degrees to zero.  Linear over Z/2 and surjective (cubic monomials hit
+    degrees to zero.  A cubic monomial is a sorted triple of basis indices,
+    so it goes to the basis wedge of that same triple (the sign is
+    invisible mod 2).  Linear over Z/2 and surjective (cubic monomials hit
     every basis wedge)."""
     if p.degree() > 3:
         raise ValueError("q is defined on degree <= 3")
-    g = p.genus
-    space = SymplecticSpace(g)
-    index = space.triple_index()
-    out = [0] * comb(2 * g, 3)
+    index = SymplecticSpace(p.genus).triple_index()
+    out = [0] * len(index)
     for m in p.monomials:
-        if len(m) != 3:
-            continue
-        out[index[_cubic_wedge(g, m)]] ^= 1
+        if len(m) == 3:
+            out[index[m]] ^= 1
     return tuple(out)
 
 
@@ -198,8 +183,7 @@ def _pullback_relations(g: int, kill_a: bool) -> tuple[tuple[Monomial, ...], Int
     Rows: 2*x_m = 0 for deg <= 2; 2*x_m = y_(wedge of m) for cubic m; and,
     when kill_a, the class of (sum_i a_i b_i, 0) itself.
     """
-    space = SymplecticSpace(g)
-    index = space.triple_index()
+    index = SymplecticSpace(g).triple_index()
     mons = tuple(bool_basis(g, 3))
     n_bool = len(mons)
     n_free = comb(2 * g, 3)
@@ -209,7 +193,7 @@ def _pullback_relations(g: int, kill_a: bool) -> tuple[tuple[Monomial, ...], Int
         row = [0] * cols
         row[pos] = 2
         if len(m) == 3:
-            row[n_bool + index[_cubic_wedge(g, m)]] = -1
+            row[n_bool + index[m]] = -1
         rows.append(row)
     if kill_a:
         row = [0] * cols
@@ -219,12 +203,20 @@ def _pullback_relations(g: int, kill_a: bool) -> tuple[tuple[Monomial, ...], Int
     return mons, IntMatrix(rows, cols=cols)
 
 
+def _kills_a(kind: str) -> bool:
+    """Whether the fiber product of this kind kills the class of
+    (sum_i a_i b_i, 0): d3 does, d1 does not, and any other kind is refused."""
+    if kind not in ("d1", "d3"):
+        raise ValueError(f"unknown pullback kind {kind!r}; expected 'd1' or 'd3'")
+    return kind == "d3"
+
+
 def _pullback(g: int, kind: str) -> PullbackGroup:
-    """The fiber product of the given kind, classified by its cokernel; d3
-    kills the class of (sum_i a_i b_i, 0)."""
+    """The fiber product of the given kind, classified by its cokernel."""
+    kill_a = _kills_a(kind)
     if g < 2:
         raise ValueError("genus must be at least 2")
-    mons, rel = _pullback_relations(g, kill_a=kind == "d3")
+    mons, rel = _pullback_relations(g, kill_a)
     return PullbackGroup(
         genus=g,
         kind=kind,
@@ -247,7 +239,7 @@ def pullback_d3(g: int) -> PullbackGroup:
 
 def expected_invariants(g: int, kind: str) -> FgAbGroup:
     """Free rank C(2g,3) with (Z/2)^(dim B2) torsion, one factor fewer for d3."""
-    exponent = bool_dimension(g, 2) - (1 if kind == "d3" else 0)
+    exponent = bool_dimension(g, 2) - _kills_a(kind)
     return FgAbGroup(comb(2 * g, 3), (2,) * exponent)
 
 
@@ -255,14 +247,13 @@ def projection_to_cube_surjective(g: int) -> bool:
     """The fiber product maps onto the integral cube: the images of its
     generators (cubic wedge lifts and twice every wedge) leave a trivial
     cokernel."""
-    space = SymplecticSpace(g)
-    index = space.triple_index()
+    index = SymplecticSpace(g).triple_index()
     n_free = comb(2 * g, 3)
     rows = []
     for m in bool_basis(g, 3):
         vec = [0] * n_free
         if len(m) == 3:
-            vec[index[_cubic_wedge(g, m)]] = 1
+            vec[index[m]] = 1
         rows.append(vec)
     for t_pos in range(n_free):
         vec = [0] * n_free

@@ -290,6 +290,29 @@ def test_nilpotent_suite_never_builds_the_graded_algebra(monkeypatch):
     assert _masked(rep) == _masked(plain)
 
 
+def test_a_capped_assoc_center_builds_no_lower_degree(monkeypatch):
+    # at genus 9 the 104,005 reduced degree-4 words are over the cap; degree
+    # 4 is asked first, so the entry is skipped before any degree is built
+    degrees, built = [], []
+    center, words = cli.center_in_degree_assoc, enveloping.EnvelopingAlgebra.reduced_words
+
+    def recorded_center(g, d):
+        degrees.append(d)
+        return center(g, d)
+
+    def recorded_words(alg, d):
+        built.append(d)
+        return words(alg, d)
+
+    monkeypatch.setattr(cli, "center_in_degree_assoc", recorded_center)
+    monkeypatch.setattr(enveloping.EnvelopingAlgebra, "reduced_words", recorded_words)
+    rep = run(RunConfig(genus=9, max_degree=4, suites=("enveloping",)))
+    check = {c.name: c for c in rep.checks}["assoc-center-empty"]
+    assert check.status == "skipped"
+    assert degrees == [4]
+    assert built == []
+
+
 def test_no_check_draws_random_input(monkeypatch):
     # every entry is decided exactly, so a report depends on the config alone
     def refuse(*args, **kwargs):

@@ -802,7 +802,7 @@ class TestNonIntegralInput:
         # order, so every dense coordinate entry point refuses both whole; a
         # dict's .values() is still a row
         from surfalg.surface import GradedElement, build
-        from surfalg.symplectic import ExtVector, SymplecticSpace
+        from surfalg.symplectic import SymplecticSpace, contraction, theta_wedge
 
         alg = build(2, 2)
         space = SymplecticSpace(2)
@@ -811,7 +811,9 @@ class TestNonIntegralInput:
             "diagonal": lambda r: IntMatrix.diagonal(r),
             "lift": lambda r: alg.lift(1, r),
             "graded": lambda r: GradedElement(alg, {1: r}),
-            "ext": lambda r: ExtVector(space, r),
+            # at genus 2 both H and the cube have four coordinates
+            "contraction": lambda r: contraction(r, space),
+            "theta": lambda r: theta_wedge(space, r),
         }
         for name, make in makers.items():
             for row in ({0: 5, 1: 1, 2: 0, 3: 7}, {5, 1, 0, 7}, frozenset({5, 1, 0, 7})):

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfalg import intlinalg
+from surfalg.enveloping import letter_name
 from surfalg.intlinalg import DimensionMismatch, IntMatrix
 from surfalg.symplectic import (
-    ExtVector,
     RoundtripReport,
     SpGenerator,
     SymplecticSpace,
@@ -27,11 +27,60 @@ from surfalg.symplectic import (
     lambda3_action,
     sp_generators,
     summand_correspondence_roundtrip,
-    theta_section_matrix,
     theta_wedge,
     wedge3,
 )
+from surfalg.torelli import BoolPoly, element_a, q_map
 from retract_transfer import transfer_verdicts
+
+
+def _cube_vector(space, *triple_coeffs):
+    """Dense cube coordinates with coefficient c on each given sorted triple."""
+    index = space.triple_index()
+    coords = [0] * len(index)
+    for t, c in triple_coeffs:
+        coords[index[t]] = c
+    return coords
+
+
+def _dense(space, row):
+    """A sparse cube row, such as `theta_wedge` returns, as dense coordinates."""
+    return [row.get(i, 0) for i in range(len(space.triples()))]
+
+
+def test_letter_order_convention_by_hand_at_genus_two():
+    # basis a1, b1, a2, b2 = e0, e1, e2, e3; w(a_i, b_i) = 1
+    space = SymplecticSpace(2)
+    assert [letter_name(i) for i in range(4)] == ["a1", "b1", "a2", "b2"]
+    assert space.form_matrix() == IntMatrix([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+    # theta = a1^b1 + a2^b2: its terms are the pairs w sends to 1, its mod-2
+    # shadow is a1 b1 + a2 b2, and theta ^ (x1 a1 + y1 b1 + x2 a2 + y2 b2) is
+    # x2 a1^b1^a2 + y2 a1^b1^b2 + x1 a1^a2^b2 + y1 b1^a2^b2
+    assert [(i, j) for i in range(4) for j in range(4) if space.pairing(i, j) == 1] == [(0, 1), (2, 3)]
+    assert element_a(2).monomials == {(0, 1), (2, 3)}
+    assert space.triples() == ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+    assert theta_wedge(space, [2, 3, 5, 7]) == {0: 5, 1: 7, 2: 2, 3: 3}
+    # theta^a1, theta^b1, theta^a2, theta^b2, as {triple: sign}
+    rows = [{space.triples()[c]: x for c, x in row.items()} for row in johnson_image(2).sparse_rows]
+    assert rows == [{(0, 2, 3): 1}, {(1, 2, 3): 1}, {(0, 1, 2): 1}, {(0, 1, 3): 1}]
+    # one generator per family, as I plus its entries {(row, col): x}
+    gens = {}
+    for gen in sp_generators(2):
+        gens.setdefault(gen.family, gen)
+    want = {
+        "upper-ii": {(0, 1): 1},  # b1 -> b1 + a1
+        "lower-ii": {(1, 0): 1},  # a1 -> a1 + b1
+        "lower-sym": {(1, 2): 1, (3, 0): 1},  # a1 -> a1 + b2, a2 -> a2 + b1
+        "upper-sym": {(0, 3): 1, (2, 1): 1},  # b1 -> b1 + a2, b2 -> b2 + a1
+        "unit-shear": {(0, 2): 1, (3, 1): -1},  # a2 -> a2 + a1, b1 -> b1 - b2
+    }
+    for family, entries in want.items():
+        gen = gens[family]
+        assert (gen.i, gen.j) == (0, 0 if family.endswith("-ii") else 1)
+        dense = [[int(r == c) + entries.get((r, c), 0) for c in range(4)] for r in range(4)]
+        assert gen.matrix == IntMatrix(dense), family
+    # the cubic monomial a1 b1 a2 is the triple (0, 1, 2), the first basis wedge
+    assert q_map(BoolPoly(2, [(0, 1, 2)])) == (1, 0, 0, 0)
 
 
 class TestGenerators:
@@ -205,7 +254,7 @@ class TestLambda3MatchesMinors:
 class TestContraction:
     def test_isotropic_triple_dies(self):
         space = SymplecticSpace(3)
-        v = ExtVector.wedge(space, 0, 1, 2)  # a1 ^ a2 ^ a3
+        v = _cube_vector(space, ((0, 2, 4), 1))  # a1 ^ a2 ^ a3
         assert contraction(v, space) == (0,) * 6
 
     def test_theta_wedge_scaling(self):
@@ -214,14 +263,14 @@ class TestContraction:
             space = SymplecticSpace(g)
             rng = random.Random(g)
             vec = [rng.randint(-3, 3) for _ in range(2 * g)]
-            got = contraction(theta_wedge(space, vec), space)
+            got = contraction(_dense(space, theta_wedge(space, vec)), space)
             assert got == tuple((g - 1) * x for x in vec)
 
     def test_single_pairing(self):
         space = SymplecticSpace(3)
-        v = ExtVector.wedge(space, 0, 3, 1)  # a1 ^ b1 ^ a2
+        v = _cube_vector(space, ((0, 1, 2), 1))  # a1 ^ b1 ^ a2
         got = contraction(v, space)
-        assert got == (0, 1, 0, 0, 0, 0)
+        assert got == (0, 0, 1, 0, 0, 0)  # w(a1, b1) a2
 
     def test_dimension_counts(self):
         for g in (2, 3, 4):
@@ -258,8 +307,8 @@ class TestJohnsonImage:
         idx = space.triple_index()
         row = ji.row(0)  # theta ^ a1
         support = {space.triples()[i] for i, c in enumerate(row) if c}
-        # a1^b1^a1 = 0 leaves exactly the two mixed triples
-        assert support == {(0, 1, 4), (0, 2, 5)}
+        # a1^b1^a1 = 0 leaves a2^b2^a1 and a3^b3^a1
+        assert support == {(0, 2, 3), (0, 4, 5)}
         assert all(abs(c) == 1 for c in row if c)
 
     def test_g2_rank(self):
@@ -515,25 +564,20 @@ def test_wedge3_signs():
 
 def test_space_labels():
     space = SymplecticSpace(2)
-    assert [space.label(i) for i in range(4)] == ["a1", "a2", "b1", "b2"]
-    assert space.index_of("b2") == 3
-    assert space.pairing(0, 2) == 1
-    assert space.pairing(2, 0) == -1
-    assert space.pairing(0, 1) == 0
+    assert [letter_name(i) for i in range(space.dim)] == ["a1", "b1", "a2", "b2"]
+    assert space.pairing(0, 1) == 1
+    assert space.pairing(1, 0) == -1
+    assert space.pairing(0, 2) == 0
+    assert space.pairing(1, 2) == 0
+    assert space.pairing(0, 0) == 0
 
 
 class TestNonIntegralInput:
-    def test_ext_vector(self):
-        space = SymplecticSpace(2)
-        with pytest.raises(ValueError, match="not an integer"):
-            ExtVector(space, [1.5, 0, 0, 0])
-        assert ExtVector(space, ["2", 3.0, True, 0]).coords == (2, 3, 1, 0)
-
     def test_contraction_of_a_plain_sequence(self):
         space = SymplecticSpace(2)
         with pytest.raises(ValueError, match="not an integer"):
             contraction([1.5, 0, 0, 0], space)
-        assert contraction(["1", 0.0, 0, 0], space) == contraction(ExtVector.wedge(space, 0, 1, 2), space)
+        assert contraction(["1", 0.0, 0, 0], space) == contraction(_cube_vector(space, ((0, 1, 2), 1)), space)
 
 
 class TestWrongLengthRefused:
@@ -548,45 +592,6 @@ class TestWrongLengthRefused:
             contraction([1] * length, SymplecticSpace(3))
 
     def test_contraction_of_a_vector_at_another_genus(self):
+        genus_two = SymplecticSpace(2)
         with pytest.raises(DimensionMismatch):
-            contraction(ExtVector.wedge(SymplecticSpace(2), 0, 1, 2), SymplecticSpace(3))
-
-    @pytest.mark.parametrize("length", [0, 19, 21])
-    def test_ext_vector(self, length):
-        with pytest.raises(DimensionMismatch):
-            ExtVector(SymplecticSpace(3), [0] * length)
-
-    @pytest.mark.parametrize("index", [-1, 6, 9, 1.0, None])
-    def test_wedge_index_outside_the_basis(self, index):
-        space = SymplecticSpace(3)
-        for ijk in ((0, 1, index), (index, 0, 1), (0, index, 1)):
-            with pytest.raises(ValueError):
-                ExtVector.wedge(space, *ijk)
-
-
-def test_theta_section_shape():
-    space = SymplecticSpace(3)
-    s = theta_section_matrix(space)
-    assert s.shape == (20, 6)
-
-
-@pytest.mark.parametrize("g", [1, 2, 3, 4])
-def test_labels_and_indices_are_inverse_bijections(g):
-    space = SymplecticSpace(g)
-    labels = [space.label(i) for i in range(2 * g)]
-    assert labels == [f"a{k}" for k in range(1, g + 1)] + [f"b{k}" for k in range(1, g + 1)]
-    assert [space.index_of(x) for x in labels] == list(range(2 * g))
-
-
-@pytest.mark.parametrize("bad", [-1, 6, 7, 1.0, "1", None])
-def test_label_refuses_an_index_outside_the_basis(bad):
-    with pytest.raises(ValueError):
-        SymplecticSpace(3).label(bad)
-
-
-@pytest.mark.parametrize(
-    "bad", ["a0", "b0", "a4", "b4", "c1", "a", "", "a01", " a1", "a1 ", "A1", "a-1", "a+1", 1, None]
-)
-def test_index_of_refuses_a_label_outside_the_basis(bad):
-    with pytest.raises(ValueError):
-        SymplecticSpace(3).index_of(bad)
+            contraction(_dense(genus_two, theta_wedge(genus_two, [1, 0, 0, 0])), SymplecticSpace(3))

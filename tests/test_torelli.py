@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfalg import torelli
-from surfalg.errors import CertificateError
 from surfalg.intlinalg import FgAbGroup
-from surfalg.symplectic import wedge3
+from surfalg.symplectic import SymplecticSpace
 from surfalg.torelli import (
     BoolPoly,
     bool_basis,
@@ -188,16 +187,22 @@ def test_non_integral_variables_refused():
 
 
 def test_cubic_wedge():
+    # a cubic monomial's q-image is the unit vector of its own triple, so q
+    # is a bijection from the cubic monomials onto the basis wedges
     for g in (2, 3):
-        seen = set()
-        for m in bool_basis(g, 3):
-            if len(m) != 3:
-                continue
-            t = torelli._cubic_wedge(g, m)
-            assert t == wedge3(*(torelli._interleaved_to_block(g, i) for i in m))[0]
-            seen.add(t)
-        assert len(seen) == comb(2 * g, 3)  # a bijection onto the wedge triples
-    # a1 b1 a2 in block order at genus 2 is e0 ^ e2 ^ e1, on the triple (0, 1, 2)
-    assert torelli._cubic_wedge(2, (0, 1, 2)) == (0, 1, 2)
-    with pytest.raises(CertificateError, match="repeats a letter"):
-        torelli._cubic_wedge(2, (0, 0, 1))
+        index = SymplecticSpace(g).triple_index()
+        cubics = [m for m in bool_basis(g, 3) if len(m) == 3]
+        assert len(cubics) == comb(2 * g, 3)
+        for m in cubics:
+            assert q_map(BoolPoly(g, [m])) == tuple(int(i == index[m]) for i in range(len(index)))
+    # a1 b1 a2 at genus 2 is a1 ^ b1 ^ a2, the first basis wedge
+    assert q_map(BoolPoly(2, [(0, 1, 2)])) == (1, 0, 0, 0)
+
+
+@pytest.mark.parametrize("kind", ["d2", "D1", "", None])
+def test_unknown_pullback_kind_refused(kind):
+    # only d1 and d3 name a fiber product; no other kind may be read as d1
+    with pytest.raises(ValueError, match="unknown pullback kind"):
+        expected_invariants(3, kind)
+    with pytest.raises(ValueError, match="unknown pullback kind"):
+        torelli._pullback(3, kind)
