@@ -24,10 +24,25 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 from . import intlinalg
+from .errors import ResourceLimitExceeded
 from .intlinalg import IntMatrix
+
+Triple = tuple[int, int, int]
+
+_TRIPLE_CAP = 2024  # C(24, 3): genus 12 is the largest cube built
+
+
+@lru_cache(maxsize=None)
+def _triple_basis(n: int) -> tuple[tuple[Triple, ...], Mapping[Triple, int]]:
+    """The sorted triples i < j < k of range(n), in `combinations` order, and
+    their read-only index: the exterior cube's basis, built once per
+    dimension and shared by every reader."""
+    trips = tuple(combinations(range(n), 3))
+    return trips, MappingProxyType({t: i for i, t in enumerate(trips)})
 
 
 @dataclass(frozen=True)
@@ -54,11 +69,11 @@ class SymplecticSpace:
             return 0
         return 1 if i % 2 == 0 else -1
 
-    def triples(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(combinations(range(self.dim), 3))
+    def triples(self) -> tuple[Triple, ...]:
+        return _triple_basis(self.dim)[0]
 
-    def triple_index(self) -> dict:
-        return {t: i for i, t in enumerate(self.triples())}
+    def triple_index(self) -> Mapping[Triple, int]:
+        return _triple_basis(self.dim)[1]
 
 
 def wedge3(i: int, j: int, k: int) -> tuple[tuple[int, int, int], int] | None:
@@ -149,6 +164,10 @@ def generator_actions(g: int) -> tuple[tuple[SpGenerator, IntMatrix], ...]:
 
 @lru_cache(maxsize=None)
 def _generator_actions(g: int) -> tuple[tuple[SpGenerator, IntMatrix], ...]:
+    # every cube consumer starts here, so the cap is read before any build
+    n = comb(2 * g, 3)
+    if n > _TRIPLE_CAP:
+        raise ResourceLimitExceeded(f"exterior cube of {n} triples at genus {g} is beyond desk scale")
     return tuple((gen, lambda3_action(gen)) for gen in sp_generators(g))
 
 
@@ -192,8 +211,7 @@ def lambda3_action(m: IntMatrix | SpGenerator) -> IntMatrix:
     n = m.rows
     if n != m.cols:
         raise ValueError("need a square matrix")
-    trips = tuple(combinations(range(n), 3))
-    index = {t: r for r, t in enumerate(trips)}
+    trips, index = _triple_basis(n)
     cols = m.transpose().sparse_rows
     images = []
     for i, j, k in trips:
@@ -339,11 +357,9 @@ def commutant_dimension(g: int) -> int:
     """
     if g < 3:
         raise ValueError("the uniqueness certificate is stated for genus >= 3")
+    pairs = zip(generator_actions(g), _moved_rows(g))
     entries = _weight_block_entries(g)
-    maps = (
-        _commutator_images(action, moved, entries)
-        for (_, action), moved in zip(generator_actions(g), _moved_rows(g))
-    )
+    maps = (_commutator_images(action, moved, entries) for (_, action), moved in pairs)
     return len(intlinalg.common_left_kernel(len(entries), maps))
 
 
@@ -388,8 +404,9 @@ def summand_correspondence_roundtrip(v: IntMatrix, g: int) -> RoundtripReport:
     # sparser and smaller than v's own echelon rows.  A generator with
     # action A moves a row r of h to r @ A.T, which lies in L iff its moved
     # part r @ (A.T - I) does.
+    moved_rows = _moved_rows(g)
     h = intlinalg.row_span_hnf(v)
-    moved_parts = (_moved_part(r, moved) for moved in _moved_rows(g) for r in h.sparse_rows)
+    moved_parts = (_moved_part(r, moved) for moved in moved_rows for r in h.sparse_rows)
     invariant = all(not part or intlinalg.row_span_contains(h, part) for part in moved_parts)
     summand = intlinalg.is_direct_summand(h, n)
     if not (invariant and summand):

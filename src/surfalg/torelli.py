@@ -25,10 +25,13 @@ from typing import Iterable, Sequence
 
 from . import intlinalg
 from .enveloping import letter_name
+from .errors import ResourceLimitExceeded
 from .intlinalg import FgAbGroup, IntMatrix
 from .symplectic import SymplecticSpace
 
 Monomial = tuple[int, ...]  # strictly increasing letter indices; () is 1
+
+_RELATION_CELL_CAP = 12_000_000  # 10.1M cells at genus 12, 16.4M at genus 13
 
 
 def bool_basis(g: int, max_degree: int) -> list[Monomial]:
@@ -144,7 +147,13 @@ def gf2_rank(rows: Sequence[Sequence[int]]) -> int:
 
 
 def q_surjective(g: int) -> bool:
-    """Rank check over Z/2 that q hits all of the cube mod 2."""
+    """Rank check over Z/2 that q hits all of the cube mod 2.
+
+    This is also the fact that the fiber product maps onto the integral cube.
+    That image is L + 2Z^n, L the span of the integer lifts of the q-images,
+    and Z^n / (L + 2Z^n) = F_2^n / (L mod 2): it is onto exactly when q is.
+    """
+    _refuse_beyond_cap(g)
     rows = [q_map(BoolPoly(g, [m])) for m in bool_basis(g, 3)]
     return gf2_rank(rows) == comb(2 * g, 3)
 
@@ -177,6 +186,15 @@ class PullbackGroup:
         return len(self.invariants.torsion)
 
 
+def _refuse_beyond_cap(g: int) -> None:
+    """Every torelli-h1 entry reads the size of the dense relation matrix of
+    d1 (d3 adds one row) and is refused before anything is built."""
+    rows = bool_dimension(g, 3)
+    cols = rows + comb(2 * g, 3)
+    if rows * cols > _RELATION_CELL_CAP:
+        raise ResourceLimitExceeded(f"relation matrix of {rows} x {cols} at genus {g} is beyond desk scale")
+
+
 def _pullback_relations(g: int, kill_a: bool) -> tuple[tuple[Monomial, ...], IntMatrix]:
     """Relation matrix over generators (boolean monomials, wedge triples).
 
@@ -186,8 +204,7 @@ def _pullback_relations(g: int, kill_a: bool) -> tuple[tuple[Monomial, ...], Int
     index = SymplecticSpace(g).triple_index()
     mons = tuple(bool_basis(g, 3))
     n_bool = len(mons)
-    n_free = comb(2 * g, 3)
-    cols = n_bool + n_free
+    cols = n_bool + comb(2 * g, 3)
     rows = []
     for pos, m in enumerate(mons):
         row = [0] * cols
@@ -216,6 +233,7 @@ def _pullback(g: int, kind: str) -> PullbackGroup:
     kill_a = _kills_a(kind)
     if g < 2:
         raise ValueError("genus must be at least 2")
+    _refuse_beyond_cap(g)
     mons, rel = _pullback_relations(g, kill_a)
     return PullbackGroup(
         genus=g,
@@ -241,23 +259,4 @@ def expected_invariants(g: int, kind: str) -> FgAbGroup:
     """Free rank C(2g,3) with (Z/2)^(dim B2) torsion, one factor fewer for d3."""
     exponent = bool_dimension(g, 2) - _kills_a(kind)
     return FgAbGroup(comb(2 * g, 3), (2,) * exponent)
-
-
-def projection_to_cube_surjective(g: int) -> bool:
-    """The fiber product maps onto the integral cube: the images of its
-    generators (cubic wedge lifts and twice every wedge) leave a trivial
-    cokernel."""
-    index = SymplecticSpace(g).triple_index()
-    n_free = comb(2 * g, 3)
-    rows = []
-    for m in bool_basis(g, 3):
-        vec = [0] * n_free
-        if len(m) == 3:
-            vec[index[m]] = 1
-        rows.append(vec)
-    for t_pos in range(n_free):
-        vec = [0] * n_free
-        vec[t_pos] = 2
-        rows.append(vec)
-    return intlinalg.cokernel(IntMatrix(rows, cols=n_free)) == FgAbGroup(0, ())
 

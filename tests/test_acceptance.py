@@ -184,6 +184,10 @@ def test_10_torelli_abelianization(report_g2, report_g3):
             assert d1.actual["q_reconstructed"] is True
             assert d3.actual["q_reconstructed"] is True
             assert d1.runtime_ms + d3.runtime_ms < 2 * MINUTE_MS
+            # q onto mod 2 is also the projection onto the integral cube
+            q = checks["boolean-q-properties"]
+            assert q.status == "pass"
+            assert q.actual == {"q_surjective": True, "a_nonzero": True, "a_killed_by_q": True}
 
 
 def test_11_identity_viii(report_g2, report_g3):
@@ -216,6 +220,7 @@ def test_12_determinism_and_goldens(report_g2, report_g3):
             (report_g3, GOLDEN_DIR / "report_g3_k4.json"),
         ):
             golden = json.loads(path.read_text())
+            assert len(golden["checks"]) == 20
             assert _normalized(golden) == _normalized(rep.to_dict())
             # expected/actual fields agree entry by entry
             for got, want in zip(rep.to_dict()["checks"], golden["checks"]):

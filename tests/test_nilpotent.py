@@ -595,6 +595,12 @@ class TestIdentityViii:
         p, gw = GroupWord(g, (1,)), GroupWord(g, (2, 3))
         assert verify_identity_viii(p, gw, GroupWord(g))
 
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_trivial_n_with_p_a_letter_of_gw(self, g):
+        # p = a1, gw = a1 b1, n = 1
+        p, gw = GroupWord(g, (1,)), GroupWord(g, (1, 2))
+        assert verify_identity_viii(p, gw, GroupWord(g))
+
     def test_random_triples(self):
         rng = random.Random(2024)
         for _ in range(1000):

@@ -48,6 +48,18 @@ def _dense(space, row):
     return [row.get(i, 0) for i in range(len(space.triples()))]
 
 
+@pytest.mark.parametrize("g", [1, 2, 3, 5])
+def test_triple_basis_built_once_per_dimension(g):
+    # every reader shares one read-only basis, in `combinations` order
+    space = SymplecticSpace(g)
+    trips, index = space.triples(), space.triple_index()
+    assert trips is SymplecticSpace(g).triples() and index is SymplecticSpace(g).triple_index()
+    assert trips == tuple(combinations(range(2 * g), 3))
+    assert list(index.items()) == [(t, i) for i, t in enumerate(trips)]
+    with pytest.raises(TypeError):
+        index[(0, 1, 2)] = 5
+
+
 def test_letter_order_convention_by_hand_at_genus_two():
     # basis a1, b1, a2, b2 = e0, e1, e2, e3; w(a_i, b_i) = 1
     space = SymplecticSpace(2)

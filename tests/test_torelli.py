@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surfalg import torelli
-from surfalg.intlinalg import FgAbGroup
+from surfalg import intlinalg, torelli
+from surfalg.cli import RunConfig, run
+from surfalg.intlinalg import FgAbGroup, IntMatrix
 from surfalg.symplectic import SymplecticSpace
 from surfalg.torelli import (
     BoolPoly,
@@ -19,7 +20,6 @@ from surfalg.torelli import (
     gf2_rank,
     pullback_d1,
     pullback_d3,
-    projection_to_cube_surjective,
     q_map,
     q_surjective,
 )
@@ -124,9 +124,28 @@ class TestPullbacks:
         assert pullback_d1(3).invariants == FgAbGroup(20, (2,) * 22)
         assert pullback_d3(3).invariants == FgAbGroup(20, (2,) * 21)
 
-    @pytest.mark.parametrize("g", [2, 3])
-    def test_projection_surjective(self, g):
-        assert projection_to_cube_surjective(g)
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_projection_onto_cube_agrees_with_q_surjective(self, g, monkeypatch):
+        # the integer formulation, kept here as the oracle: the fiber product
+        # maps onto the integral cube when the integer lifts of the q-images
+        # and twice every wedge leave a trivial cokernel
+        def projection_onto_cube():
+            n = comb(2 * g, 3)
+            rows = [list(torelli.q_map(BoolPoly(g, [m]))) for m in bool_basis(g, 3)]
+            rows += [[2 * (i == t) for i in range(n)] for t in range(n)]
+            return intlinalg.cokernel(IntMatrix(rows, cols=n)) == FgAbGroup(0, ())
+
+        assert projection_onto_cube() and q_surjective(g)
+        # a q that sends one cubic monomial to another's triple misses a wedge
+        cubics = [m for m in bool_basis(g, 3) if len(m) == 3]
+        real_q = torelli.q_map
+
+        def forged(p):
+            moved = [cubics[1] if m == cubics[0] else m for m in p.monomials]
+            return real_q(BoolPoly(g, moved))
+
+        monkeypatch.setattr(torelli, "q_map", forged)
+        assert not projection_onto_cube() and not q_surjective(g)
 
     def test_element_a_dies_in_d3(self):
         # the quotient relation is precisely the class of (a, 0)
@@ -206,3 +225,20 @@ def test_unknown_pullback_kind_refused(kind):
         expected_invariants(3, kind)
     with pytest.raises(ValueError, match="unknown pullback kind"):
         torelli._pullback(3, kind)
+
+
+def test_torelli_entries_skipped_past_the_cap_before_any_build(monkeypatch):
+    # genus 12 is within the cap, genus 13 is not: neither the relation
+    # matrix nor a q-image is built, and every torelli-h1 entry is skipped
+    def cells(g, kill_a):
+        rows = bool_dimension(g, 3)
+        return (rows + kill_a) * (rows + comb(2 * g, 3))
+
+    assert cells(12, True) <= torelli._RELATION_CELL_CAP < cells(13, False)
+    built = []
+    monkeypatch.setattr(torelli, "_pullback_relations", lambda *args: built.append(args))
+    monkeypatch.setattr(torelli, "q_map", lambda *args: built.append(args))
+    rep = run(RunConfig(genus=13, max_degree=2, suites=("torelli-h1",)))
+    assert [c.status for c in rep.checks] == ["skipped"] * 3
+    assert all("13" in c.actual and "beyond desk scale" in c.actual for c in rep.checks)
+    assert built == []
