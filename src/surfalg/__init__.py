@@ -22,33 +22,12 @@ cli         batch verification runner with JSON/text reports
 __version__ = "0.1.0"
 
 from . import enveloping, freelie, intlinalg, nilpotent, surface, symplectic, torelli
-from .errors import CertificateError, ResourceLimitExceeded
-from .intlinalg import (
-    DimensionMismatch,
-    FgAbGroup,
-    IntMatrix,
-    SnfResult,
-    cokernel,
-    is_direct_summand,
-    saturate,
-    snf,
-)
 
 __all__ = [
-    "CertificateError",
-    "DimensionMismatch",
-    "FgAbGroup",
-    "IntMatrix",
-    "ResourceLimitExceeded",
-    "SnfResult",
-    "cokernel",
     "enveloping",
     "freelie",
     "intlinalg",
-    "is_direct_summand",
     "nilpotent",
-    "saturate",
-    "snf",
     "surface",
     "symplectic",
     "torelli",

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from . import __version__, intlinalg, surface, torelli
+from ._kernel import reduce_terms
 from .enveloping import (
     center_in_degree_assoc,
     enveloping_algebra,
@@ -33,6 +34,7 @@ from .nilpotent import (
     expand,
     generators,
     graded_rank_certificate,
+    group_ring_truncation,
     surface_relator,
     verify_identity_viii,
 )
@@ -59,6 +61,8 @@ SUITE_NAMES = (
 
 
 _BRUTE_FORCE_WORD_CAP = 8_000_000  # hilbert-brute-force's (2g)^4 words: 7.3M at genus 26
+_JOHNSON_TRIPLE_CAP = 280_840  # C(120, 3): genus 60 is the largest Johnson image built
+_IDEAL_PRODUCT_WORD_CAP = 4_000_000  # ideal-reduces-to-zero's product words: 3.0M at genus 50 (9 s, 20 MB), 4.02M at 55
 
 
 class ConfigError(ValueError):
@@ -272,16 +276,21 @@ def _suite_enveloping(s: _Session) -> list[CheckResult]:
         # check counts.  The rule's leading word does not overlap itself
         # (certified when the algebra is built), so by Bergman's diamond
         # lemma the same holds in every degree.  The engine builds these
-        # products itself, so they go to the rewrite kernel unvalidated
+        # products itself, so they go to the rewrite kernel unvalidated, each
+        # with a memo of its own: the handle's shared memo would keep every
+        # word of every product
         alg = enveloping_algebra(g)
+        words = len(alg.relation) * sum((d - 1) * (2 * g) ** (d - 2) for d in range(2, 5))
+        if words > _IDEAL_PRODUCT_WORD_CAP:
+            raise ResourceLimitExceeded(f"{words} product words at genus {g} are beyond desk scale")
+        rule = (*alg.lead, alg.rhs_words, alg.rhs_coeffs)
         actual = []
         for d in range(2, 5):
             splits = (
                 (w[:i], w[i:]) for w in itertools.product(range(2 * g), repeat=d - 2) for i in range(d - 1)
             )
-            actual.append(
-                sum(1 for u, v in splits if alg.reduce_raw({u + r + v: c for r, c in alg.relation.items()}))
-            )
+            products = ({u + r + v: c for r, c in alg.relation.items()} for u, v in splits)
+            actual.append(sum(1 for p in products if reduce_terms(p, *rule, {}, alg.max_len)))
         return [0, 0, 0], actual
 
     _run_check(checks, "hilbert-brute-force", "enveloping-hilbert-series", hilbert)
@@ -294,8 +303,11 @@ def _suite_nilpotent(s: _Session) -> list[CheckResult]:
     cfg = s.config
     g = cfg.genus
     checks: list[CheckResult] = []
+    # each entry asks for its largest truncation first, so that its cap skips
+    # the entry before any smaller truncation is worked through
 
     def keystone():
+        group_ring_truncation(g, cfg.max_degree)
         results = [expand(surface_relator(g), k).is_one() for k in range(1, cfg.max_degree + 1)]
         return [True] * cfg.max_degree, results
 
@@ -310,12 +322,14 @@ def _suite_nilpotent(s: _Session) -> list[CheckResult]:
             ex, ex_inv = expand(x, k), expand(x.inverse(), k)
             return (ex * ex_inv).is_one() and (ex_inv * ex).is_one()
 
+        group_ring_truncation(g, cfg.max_degree)
         results = [all(inverted(x, k) for x in generators(g)) for k in range(1, cfg.max_degree + 1)]
         return [True] * cfg.max_degree, results
 
     def quotient_centers():
         if cfg.max_degree < 3:
             raise ResourceLimitExceeded("no quotient class k with 2 <= k < max degree to test")
+        group_ring_truncation(g, cfg.max_degree - 1)
         expected, actual = [], []
         for k in range(2, cfg.max_degree):
             rep = center_of_quotient(g, k)
@@ -330,6 +344,7 @@ def _suite_nilpotent(s: _Session) -> list[CheckResult]:
 
     def rank_certificates():
         # the closed-form ranks, so this suite never builds the graded algebra
+        group_ring_truncation(g, cfg.max_degree - 1)
         ranks = lcs_ranks(g, cfg.max_degree - 1)
         expected, actual = [], []
         for k in range(1, cfg.max_degree):
@@ -384,7 +399,11 @@ def _suite_johnson_image(s: _Session) -> list[CheckResult]:
     checks: list[CheckResult] = []
 
     def unit_factors():
-        # 2g factors, all 1: rank 2g and a direct summand, a partial basis
+        # 2g factors, all 1: rank 2g and a direct summand, a partial basis.
+        # The image indexes every cube triple, so their count is read first
+        triples = comb(2 * g, 3)
+        if triples > _JOHNSON_TRIPLE_CAP:
+            raise ResourceLimitExceeded(f"Johnson image over {triples} triples at genus {g} is beyond desk scale")
         factors = intlinalg.snf(johnson_image(g)).nonzero_factors
         return [1] * 2 * g, list(factors)
 
@@ -440,6 +459,7 @@ def _suite_lemma_summand(s: _Session) -> list[CheckResult]:
     checks: list[CheckResult] = []
 
     def johnson_roundtrip():
+        generator_actions(g)  # the cube's cap, read before the image is built
         rep = summand_correspondence_roundtrip(johnson_image(g), g)
         return (
             {"invariant": True, "summand": True, "roundtrip": True},

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from typing import Iterable
 
 from . import intlinalg
 from ._kernel import mul_letter, mul_reduce, reduce_terms
@@ -139,21 +138,10 @@ class EnvelopingAlgebra(_RewriteRing):
     def word_index(self, degree: int) -> dict:
         return {w: i for i, w in enumerate(self.reduced_words(degree))}
 
-    def poly(self, terms: dict) -> "NcPoly":
-        """Reduced polynomial from {word: coeff}; letters must be integers in
-        0..2g-1 and coefficients must be integers."""
-        words = [intlinalg._int_word(w) for w in terms]
-        if any(not 0 <= x < self.n_letters for w in words for x in w):
-            raise ValueError(f"a word has letters outside 0..{self.n_letters - 1}")
-        return NcPoly(self, self.reduce_raw(dict(zip(words, intlinalg._int_row(terms.values())))))
-
     def letter(self, index: int) -> "NcPoly":
         if not 0 <= index < self.n_letters:
             raise ValueError(f"letter {index} outside 0..{self.n_letters - 1}")
         return NcPoly(self, {(index,): 1})
-
-    def one(self) -> "NcPoly":
-        return NcPoly(self, {(): 1})
 
     def from_lie(self, elem: LieElement) -> "NcPoly":
         """Enveloping image of a Lie element (bracketings as commutators of
@@ -184,24 +172,11 @@ class NcPoly:
         self.algebra = algebra
         self._terms = {w: c for w, c in reduced_terms.items() if c}
 
-    @property
-    def terms(self) -> dict:
-        return dict(self._terms)
-
     def items(self):
         return iter(self._terms.items())
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def coefficient(self, word: Iterable[int]) -> int:
-        return self._terms.get(intlinalg._int_word(word), 0)
-
-    def degree_component(self, degree: int) -> dict:
-        return {w: c for w, c in self._terms.items() if len(w) == degree}
-
-    def max_degree(self) -> int:
-        return max((len(w) for w in self._terms), default=0)
 
     def _check_same(self, other: "NcPoly"):
         if self.algebra is not other.algebra:

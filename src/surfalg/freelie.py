@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import CertificateError, ResourceLimitExceeded
-from .intlinalg import _axpy, _int_row, _int_word
+from .intlinalg import _axpy
 
 # degree-d components beyond this dimension are outside desk scale
 _DIMENSION_CAP = 50_000
@@ -45,16 +45,6 @@ def witt_dimension(n: int, degree: int) -> int:
         if degree % e == 0:
             total += _mobius(e) * n ** (degree // e)
     return total // degree
-
-
-def is_lyndon(word: tuple[int, ...]) -> bool:
-    """Strictly smallest among its rotations (hence aperiodic)."""
-    if not word:
-        return False
-    for i in range(1, len(word)):
-        if word[i:] + word[:i] <= word:
-            return False
-    return True
 
 
 def lyndon_words(n: int, degree: int) -> list[tuple[int, ...]]:
@@ -175,19 +165,6 @@ class FreeLieAlgebra:
             raise ValueError(f"letter {i} outside 0..{self.n - 1}")
         return LieElement(self, {(i,): 1})
 
-    def element(self, coords: dict) -> "LieElement":
-        """Element from {word: coeff}; words must be Lyndon over 0..n-1."""
-        flat = {}
-        for k, c in zip(coords, _int_row(coords.values())):
-            w = _int_word(k)
-            if not all(0 <= x < self.n for x in w):
-                raise ValueError(f"letters of {w} outside 0..{self.n - 1}")
-            if not is_lyndon(w):
-                raise ValueError(f"{w} is not a basis word")
-            if c:
-                flat[w] = flat.get(w, 0) + c
-        return LieElement(self, {w: c for w, c in flat.items() if c})
-
 
 @lru_cache(maxsize=None)
 def _shared_algebra(n: int) -> FreeLieAlgebra:
@@ -217,9 +194,6 @@ class LieElement:
 
     def is_zero(self) -> bool:
         return not self._coords
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted({len(w) for w in self._coords}))
 
     def homogeneous_component(self, degree: int) -> "LieElement":
         return LieElement(

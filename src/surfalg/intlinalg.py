@@ -84,17 +84,8 @@ class IntMatrix:
         return m
 
     @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls._of(({i: 1} for i in range(n)), n)
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls._of(({} for _ in range(rows)), cols)
-
-    @classmethod
-    def diagonal(cls, values: Sequence[int]) -> "IntMatrix":
-        values = _int_row(values)
-        return cls._of(({i: x} if x else {} for i, x in enumerate(values)), len(values))
 
     @property
     def rows(self) -> int:

@@ -107,9 +107,6 @@ class GroupWord:
     def commutator(self, other: "GroupWord") -> "GroupWord":
         return self * other * self.inverse() * other.inverse()
 
-    def is_identity(self) -> bool:
-        return not self.letters
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -360,16 +357,6 @@ class MagnusSeries:
     @property
     def truncation(self) -> int:
         return self.ring.truncation
-
-    @property
-    def terms(self) -> dict:
-        return dict(self._terms)
-
-    def coefficient(self, word) -> int:
-        return self._terms.get(intlinalg._int_word(word), 0)
-
-    def degree_component(self, d: int) -> dict:
-        return {w: c for w, c in self._terms.items() if len(w) == d}
 
     def is_one(self) -> bool:
         return self._terms == {(): 1}

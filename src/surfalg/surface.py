@@ -103,15 +103,6 @@ class SurfaceAlgebra:
         index = self.free.word_index(d)
         return {index[w]: c for w, c in elem.homogeneous_component(d).items()}
 
-    def reduce_free_vector(self, d: int, vec: Sequence[int]) -> list[int]:
-        """Subtract ideal rows until only quotient-basis columns survive."""
-        data = self.degree_data(d)
-        vec = intlinalg._int_row(vec)
-        width = data.ideal_basis.cols
-        if len(vec) != width:
-            raise intlinalg.DimensionMismatch(f"degree-{d} free vectors have {width} entries, not {len(vec)}")
-        return list(intlinalg._dense_row(self._reduce(d, intlinalg._sparse(vec)), width))
-
     def _project_sparse(self, elem: LieElement, d: int) -> dict:
         """Quotient coordinates of the degree-d component, as {index: coeff}."""
         basis_index = self.degree_data(d).basis_index
@@ -138,16 +129,6 @@ class SurfaceAlgebra:
             for col in self.degree_data(d).basis_columns
         ]
 
-    def ideal_elements(self, d: int) -> list[LieElement]:
-        words = self.free.basis_words(d)
-        return [
-            LieElement(self.free, {words[j]: c for j, c in row.items()})
-            for row in self.degree_data(d).pivot_rows.values()
-        ]
-
-    def contains_in_ideal(self, elem: LieElement, d: int) -> bool:
-        return not self._reduce(d, self._free_coords(elem, d))
-
     # -- graded bracket ------------------------------------------------------
 
     def bracket_coords(self, d1: int, coords1: Sequence[int], d2: int, coords2: Sequence[int]) -> tuple[int, ...]:
@@ -172,12 +153,6 @@ class GradedElement:
                 raise ValueError(f"degree-{d} coordinates have wrong length")
             if any(tup):
                 self._coords[d] = tup
-
-    def component(self, d: int) -> tuple[int, ...]:
-        return self._coords.get(d, tuple([0] * self.algebra.rank(d)))
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted(self._coords))
 
     def is_zero(self) -> bool:
         return not self._coords

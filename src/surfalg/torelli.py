@@ -177,14 +177,6 @@ class PullbackGroup:
     invariants: FgAbGroup
     q_reconstructed: bool = True
 
-    @property
-    def free_rank(self) -> int:
-        return self.invariants.free_rank
-
-    @property
-    def torsion_exponent(self) -> int:
-        return len(self.invariants.torsion)
-
 
 def _refuse_beyond_cap(g: int) -> None:
     """Every torelli-h1 entry reads the size of the dense relation matrix of

@@ -27,6 +27,17 @@ from surfalg.errors import CertificateError
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
+def _only(monkeypatch, entry):
+    """Run the named report entry alone, whatever suite holds it."""
+    run_check = cli._run_check
+
+    def filtered(checks, name, anchor, func):
+        if name == entry:
+            run_check(checks, name, anchor, func)
+
+    monkeypatch.setattr(cli, "_run_check", filtered)
+
+
 class TestEulerIndex:
     def test_equal_characteristics_force_index_one(self):
         assert euler_index(-4, -4) == 1
@@ -183,6 +194,7 @@ class TestRun:
         built = []
         monkeypatch.setattr(symplectic, "sp_generators", lambda *args: built.append(args))
         monkeypatch.setattr(symplectic, "lambda3_action", lambda *args: built.append(args))
+        monkeypatch.setattr(cli, "johnson_image", lambda *args: built.append(args))
         rep = run(RunConfig(genus=13, max_degree=2, suites=("sp-decomposition", "lemma-summand")))
         assert {c.name: c.status for c in rep.checks} == {
             "cube-decomposition-dims": "pass",
@@ -196,19 +208,54 @@ class TestRun:
         # genus 26 is within the cap, genus 27 is not; the entry is run alone
         assert 52**4 <= cli._BRUTE_FORCE_WORD_CAP < 54**4
         built = []
-        run_check = cli._run_check
-
-        def hilbert_only(checks, name, anchor, func):
-            if name == "hilbert-brute-force":
-                run_check(checks, name, anchor, func)
-
-        monkeypatch.setattr(cli, "_run_check", hilbert_only)
+        _only(monkeypatch, "hilbert-brute-force")
         monkeypatch.setattr(cli, "enveloping_algebra", lambda *args: built.append(args))
         monkeypatch.setattr(cli, "hilbert_dimension", lambda *args: built.append(args))
         rep = run(RunConfig(genus=27, max_degree=2, suites=("enveloping",)))
         assert [(c.name, c.status) for c in rep.checks] == [("hilbert-brute-force", "skipped")]
         assert "8503056 degree-4 words" in rep.checks[0].actual
         assert built == []
+
+    def test_ideal_products_skipped_past_the_cap_before_any_product(self, monkeypatch):
+        # 2g relation words in each of the (d - 1) (2g)^(d - 2) products of
+        # degree d = 2..4: genus 54 is within the cap, genus 55 is not
+        def words(g):
+            return 2 * g * (1 + 4 * g + 12 * g * g)
+
+        assert words(54) <= cli._IDEAL_PRODUCT_WORD_CAP < words(55)
+        reduced = []
+        _only(monkeypatch, "ideal-reduces-to-zero")
+        monkeypatch.setattr(cli, "reduce_terms", lambda *args: reduced.append(args))
+        rep = run(RunConfig(genus=55, max_degree=2, suites=("enveloping",)))
+        assert [(c.name, c.status) for c in rep.checks] == [("ideal-reduces-to-zero", "skipped")]
+        assert reduced == []
+
+    def test_ideal_products_leave_the_shared_memo_as_they_found_it(self, monkeypatch):
+        alg = enveloping.enveloping_algebra(4)
+        before = len(alg._memo)
+        _only(monkeypatch, "ideal-reduces-to-zero")
+        rep = run(RunConfig(genus=4, max_degree=2, suites=("enveloping",)))
+        assert [(c.name, c.status) for c in rep.checks] == [("ideal-reduces-to-zero", "pass")]
+        assert len(alg._memo) <= before
+
+    def test_johnson_image_skipped_past_the_cap_before_any_build(self, monkeypatch):
+        # genus 60 is within the cap, genus 61 is not
+        assert comb(120, 3) <= cli._JOHNSON_TRIPLE_CAP < comb(122, 3)
+        built = []
+        monkeypatch.setattr(cli, "johnson_image", lambda *args: built.append(args))
+        rep = run(RunConfig(genus=61, max_degree=2, suites=("johnson-image",)))
+        assert [(c.name, c.status) for c in rep.checks] == [("johnson-unit-factors", "skipped")]
+        assert built == []
+
+    def test_nilpotent_entries_read_their_largest_cap_first(self, monkeypatch):
+        # at degree 12 the genus-2 truncations pass the cap from degree 9 on:
+        # each entry is skipped before any smaller truncation is worked through
+        called = []
+        for name in ("expand", "center_of_quotient", "graded_rank_certificate"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: called.append(name))
+        rep = run(RunConfig(genus=2, max_degree=12, suites=("nilpotent",)))
+        assert [c.status for c in rep.checks] == ["skipped"] * 4 + ["pass"]
+        assert called == []
 
     def test_quotient_centers_skipped_at_degree_two(self):
         # range(2, K) is empty at K = 2, so there is no layer to test

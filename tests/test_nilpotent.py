@@ -48,12 +48,11 @@ class TestGroupWord:
 
     def test_inverse(self):
         w = GroupWord(2, (1, 2, -3))
-        assert (w * w.inverse()).is_identity()
-        assert (w.inverse() * w).is_identity()
+        assert w * w.inverse() == GroupWord(2) == w.inverse() * w
 
     def test_commutator_of_self_trivial(self):
         w = GroupWord(2, (1, 2))
-        assert w.commutator(w).is_identity()
+        assert w.commutator(w) == GroupWord(2)
 
     def test_alphabet_checked(self):
         with pytest.raises(ValueError):
@@ -111,7 +110,7 @@ class TestTrustedProducts:
             assert comm == GroupWord(g, x.letters + y.letters + inv.letters + y.inverse().letters)
             assert type(prod.letters) is tuple and type(comm.letters) is tuple
         if mode == "cancel-all":
-            assert (a * b).is_identity()
+            assert (a * b).letters == ()
         if mode == "cancel-prefix":
             assert a * b == tail
 
@@ -128,15 +127,15 @@ class TestTrustedProducts:
 class TestExpand:
     def test_single_generator(self):
         s = expand(GroupWord.generator(2, 0), 2)
-        assert s.terms == {(): 1, (0,): 1}
+        assert s == MagnusSeries(s.ring, {(): 1, (0,): 1})
 
     def test_inverse_geometric_series(self):
         s = expand(GroupWord(2, (-1,)), 2)
-        assert s.terms == {(): 1, (0,): -1, (0, 0): 1}
+        assert s == MagnusSeries(s.ring, {(): 1, (0,): -1, (0, 0): 1})
 
     def test_commutator_leading_term(self):
         s = expand(GroupWord.generator(2, 0).commutator(GroupWord.generator(2, 1)), 2)
-        assert s.terms == {(): 1, (0, 1): 1, (1, 0): -1}
+        assert s == MagnusSeries(s.ring, {(): 1, (0, 1): 1, (1, 0): -1})
 
     def test_identity_expands_to_one(self):
         assert expand(GroupWord(3), 4).is_one()

@@ -107,14 +107,13 @@ class TestPullbacks:
         got = pullback_d1(g)
         assert got.invariants == expected_invariants(g, "d1")
         assert got.invariants.free_rank == comb(2 * g, 3)
-        assert len(got.invariants.torsion) == got.torsion_exponent
         assert got.q_reconstructed
 
     @pytest.mark.parametrize("g", [2, 3])
     def test_d3_invariants(self, g):
         got = pullback_d3(g)
         assert got.invariants == expected_invariants(g, "d3")
-        assert got.torsion_exponent == bool_dimension(g, 2) - 1
+        assert len(got.invariants.torsion) == bool_dimension(g, 2) - 1
 
     def test_g2_counts_explicit(self):
         assert pullback_d1(2).invariants == FgAbGroup(4, (2,) * 11)
