@@ -40,9 +40,10 @@ from .nilpotent import (
 )
 from .symplectic import (
     SymplecticSpace,
+    check_cube_cap,
     commutant_dimension,
+    contraction_equivariance,
     contraction_matrix,
-    generator_actions,
     johnson_image,
     summand_correspondence_roundtrip,
 )
@@ -377,11 +378,8 @@ def _suite_sp_decomposition(s: _Session) -> list[CheckResult]:
         )
 
     def equivariance():
-        # c @ A == M @ c exactly gives c(Av) == M(cv) for every vector v
-        pairs = generator_actions(g)
-        c = contraction_matrix(space)
-        matrix_ok = sum(1 for gen, action in pairs if c @ action == gen.matrix @ c)
-        return {"generators": len(pairs)}, {"generators": matrix_ok}
+        generators, intertwined = contraction_equivariance(g)
+        return {"generators": generators}, {"generators": intertwined}
 
     def commutant():
         if g < 3:
@@ -459,7 +457,7 @@ def _suite_lemma_summand(s: _Session) -> list[CheckResult]:
     checks: list[CheckResult] = []
 
     def johnson_roundtrip():
-        generator_actions(g)  # the cube's cap, read before the image is built
+        check_cube_cap(g)  # read before the image is built
         rep = summand_correspondence_roundtrip(johnson_image(g), g)
         return (
             {"invariant": True, "summand": True, "roundtrip": True},

@@ -14,7 +14,7 @@ from functools import lru_cache
 from math import comb
 
 from . import intlinalg
-from ._kernel import mul_letter, mul_reduce, reduce_terms
+from ._kernel import mul_letter, mul_reduce
 from .errors import CertificateError, ResourceLimitExceeded
 from .freelie import LieElement
 
@@ -47,12 +47,6 @@ class _RewriteRing:
         self.rhs_coeffs = tuple(c for _, c in rhs)
         self.max_len = max_len
         self._memo: dict = {}
-
-    def reduce_raw(self, terms: dict) -> dict:
-        return reduce_terms(
-            terms, self.lead[0], self.lead[1], self.rhs_words, self.rhs_coeffs,
-            self._memo, self.max_len,
-        )
 
     def mul_raw(self, a: dict, b: dict, max_degree: int = -1) -> dict:
         return mul_reduce(
@@ -174,9 +168,6 @@ class NcPoly:
 
     def items(self):
         return iter(self._terms.items())
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def _check_same(self, other: "NcPoly"):
         if self.algebra is not other.algebra:

@@ -192,9 +192,6 @@ class LieElement:
     def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
         return iter(self._coords.items())
 
-    def is_zero(self) -> bool:
-        return not self._coords
-
     def homogeneous_component(self, degree: int) -> "LieElement":
         return LieElement(
             self.algebra, {w: c for w, c in self._coords.items() if len(w) == degree}

@@ -167,8 +167,8 @@ class GroupRingTruncation(_RewriteRing):
     in the module docstring.  The rule's two-letter part is the graded
     relation; its tail is the relator expansion's higher part, so reduction
     here refines the graded reduction degree by degree.  The kernel calls
-    (`reduce_raw`, `mul_raw`, `mul_letter_raw`) are the enveloping algebra's,
-    with words longer than K dropped.
+    (`mul_raw`, `mul_letter_raw`) are the enveloping algebra's, with words
+    longer than K dropped.
     """
 
     def __init__(self, genus: int, truncation: int):

@@ -154,9 +154,6 @@ class GradedElement:
             if any(tup):
                 self._coords[d] = tup
 
-    def is_zero(self) -> bool:
-        return not self._coords
-
     def __eq__(self, other):
         return (
             isinstance(other, GradedElement)

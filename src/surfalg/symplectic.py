@@ -118,15 +118,8 @@ def sp_generators(g: int) -> tuple[SpGenerator, ...]:
 
     Counts per genus: 2g from the two diagonal families, 2*C(g,2) from the
     symmetric off-diagonal families, g(g-1) from the shear family
-    (g=1: 2, g=2: 8, g=3: 18).  Built, and checked against the form, once
-    per genus.
-    """
-    return _sp_generators(g)
-
-
-@lru_cache(maxsize=None)
-def _sp_generators(g: int) -> tuple[SpGenerator, ...]:
-    """Each generator is the identity plus one or two entries E(row, col):
+    (g=1: 2, g=2: 8, g=3: 18).  Each generator is checked against the form
+    when it is built, and is the identity plus one or two entries E(row, col):
     upper-ii    I + E(a_i, b_i)
     lower-ii    I + E(b_i, a_i)
     lower-sym   I + E(b_i, a_j) + E(b_j, a_i), i < j
@@ -157,43 +150,52 @@ def _sp_generators(g: int) -> tuple[SpGenerator, ...]:
     )
 
 
-def generator_actions(g: int) -> tuple[tuple[SpGenerator, IntMatrix], ...]:
-    """Pairs (gen, lambda3_action(gen)) over `sp_generators(g)`, built once per genus."""
-    return _generator_actions(g)
-
-
-@lru_cache(maxsize=None)
-def _generator_actions(g: int) -> tuple[tuple[SpGenerator, IntMatrix], ...]:
-    # every cube consumer starts here, so the cap is read before any build
+def check_cube_cap(g: int) -> None:
+    """Refuse, with ResourceLimitExceeded, a cube of more than 2,024 triples
+    (genus 12): every cube consumer reads this before it builds anything."""
     n = comb(2 * g, 3)
     if n > _TRIPLE_CAP:
         raise ResourceLimitExceeded(f"exterior cube of {n} triples at genus {g} is beyond desk scale")
-    return tuple((gen, lambda3_action(gen)) for gen in sp_generators(g))
 
 
 @lru_cache(maxsize=None)
-def _moved_rows(g: int) -> tuple[dict, ...]:
-    """Per generator action A of `generator_actions(g)`, the nonzero sparse
-    rows of A.T - I, by row index: row c is the moved part A e_c - e_c of
-    basis vector c, and a basis vector A fixes has no entry.  Each action is
-    transposed once per genus, here; `commutant_dimension` and the roundtrip
-    both read the result."""
-    out = []
-    for _, act in generator_actions(g):
-        rows = {}
-        for c, col in enumerate(act.transpose().sparse_rows):
-            if len(col) == 1 and col.get(c) == 1:
-                continue  # A fixes e_c
-            moved = dict(col)
-            intlinalg._axpy(moved, {c: 1}, -1)
-            rows[c] = moved
-        out.append(rows)
-    return tuple(out)
+def generator_actions(g: int) -> tuple[tuple[SpGenerator, dict], ...]:
+    """Pairs (gen, M) over `sp_generators(g)`, M = lambda3_action(gen) - I.
+
+    M is the only form of a cube action the package keeps: its nonzero
+    columns {c: A e_c - e_c}, where A is the full action and a basis vector
+    that A fixes has no entry.  Built once per genus, one generator at a
+    time, and each full action is dropped once its M is taken.
+    """
+    check_cube_cap(g)
+    return tuple((gen, _moved_columns(lambda3_action(gen))) for gen in sp_generators(g))
 
 
-def _moved_part(r: dict, moved: dict) -> dict:
-    """r @ (A.T - I) for a sparse row r, from A's `_moved_rows` entry."""
-    return intlinalg._combination({c: x for c, x in r.items() if c in moved}, moved)
+def _moved_columns(a: IntMatrix) -> dict:
+    """The nonzero columns {c: a e_c - e_c} of a - I, for a square matrix a."""
+    out = {}
+    for c, col in enumerate(a.transpose().sparse_rows):
+        if len(col) == 1 and col.get(c) == 1:
+            continue  # a fixes e_c
+        moved = dict(col)
+        intlinalg._axpy(moved, {c: 1}, -1)
+        out[c] = moved
+    return out
+
+
+def _rows_of(columns: dict) -> dict:
+    """The nonzero rows {r: row} of the matrix whose nonzero columns are
+    `columns`: a sparse transpose that skips the all-zero rows."""
+    rows: dict = {}
+    for c, col in columns.items():
+        for r, x in col.items():
+            rows.setdefault(r, {})[c] = x
+    return rows
+
+
+def _times(r: dict, rows: dict) -> dict:
+    """The sparse row r times the matrix whose nonzero rows are `rows`."""
+    return intlinalg._combination({k: x for k, x in r.items() if k in rows}, rows)
 
 
 def lambda3_action(m: IntMatrix | SpGenerator) -> IntMatrix:
@@ -235,6 +237,21 @@ def contraction_matrix(space: SymplecticSpace) -> IntMatrix:
         {t: x for t, x in ((k, w(i, j)), (j, -w(i, k)), (i, w(j, k))) if x} for i, j, k in space.triples()
     )
     return IntMatrix._of(cols, space.dim).transpose()
+
+
+def contraction_equivariance(g: int) -> tuple[int, int]:
+    """The number of generators of `generator_actions(g)`, and how many of
+    them the contraction c intertwines: c M == N c, with M the stored action
+    and N = S - I for S = gen.matrix.  The identity terms cancel, so this is
+    c A == S c, which gives c(Av) == S(cv) for every vector v."""
+    pairs = generator_actions(g)
+    c = contraction_matrix(SymplecticSpace(g)).sparse_rows
+    ok = 0
+    for gen, moved in pairs:
+        m_rows = _rows_of(moved)
+        n_rows = _moved_columns(gen.matrix.transpose())  # row i of N is column i of S.T - I
+        ok += all(_times(row, m_rows) == intlinalg._combination(n_rows.get(i, {}), c) for i, row in enumerate(c))
+    return len(pairs), ok
 
 
 def contraction(v: Sequence[int], space: SymplecticSpace) -> tuple[int, ...]:
@@ -300,31 +317,20 @@ def _weight_block_entries(g: int) -> tuple[tuple[int, int], ...]:
     return tuple((k, c) for k, w in enumerate(weights) for c in blocks[w])
 
 
-def _commutator_images(action: IntMatrix, moved: dict, entries: Sequence[tuple[int, int]]) -> list[dict]:
+def _commutator_images(moved: dict, n: int, entries: Sequence[tuple[int, int]]) -> list[dict]:
     """Images of the unit matrices E_kc, for (k, c) in entries, under
-    X -> A X - X A, A the action.
+    X -> M X - X M, M = A - I the stored action of `generator_actions`.
 
-    A E_kc puts column k of A into column c and E_kc A puts row c of A into
-    row k; matrices are flattened row by row, entry (r, c) to r * n + c.
-    Column k of A is e_k plus its moved part, A's `_moved_rows` entry
-    `moved` at k, so no action is transposed here.
+    The identity terms cancel, so this is X -> A X - X A.  M E_kc puts
+    column k of M into column c and E_kc M puts row c of M into row k;
+    matrices are n x n, flattened row by row, entry (r, c) to r * n + c.
     """
-    n = action.rows
-    a_rows = action.sparse_rows
+    m_rows = _rows_of(moved)
     images = []
     for k, c in entries:
-        col = moved.get(k)
-        if col is None:
-            img = {k * n + c: 1}  # A e_k = e_k
-        else:
-            img = {r * n + c: x for r, x in col.items()}
-            val = img.get(k * n + c, 0) + 1  # plus e_k
-            if val:
-                img[k * n + c] = val
-            else:
-                del img[k * n + c]
+        img = {r * n + c: x for r, x in moved.get(k, {}).items()}
         # inline, not intlinalg._axpy: a shifted copy of row c per image cost ~3% wall on shipped-g3k4
-        for j, x in a_rows[c].items():
+        for j, x in m_rows.get(c, {}).items():
             val = img.get(k * n + j, 0) - x
             if val:
                 img[k * n + j] = val
@@ -349,17 +355,17 @@ def commutant_dimension(g: int) -> int:
     upper-ii and lower-ii derivations at slot m.  That bracket is diagonal:
     it multiplies the triple t by slot m of its weight, where a_m counts +1
     and b_m counts -1.  So X maps each weight space into itself, and the
-    commutant is the common integer left kernel of the maps X -> A X - X A
-    over the entries E_kc with weight(k) = weight(c)
-    (`_weight_block_entries`): 32 of 400 entries at genus 3, 2580 of
+    commutant is the common integer left kernel of the maps X -> M X - X M,
+    which equal X -> A X - X A, over the entries E_kc with weight(k) =
+    weight(c) (`_weight_block_entries`): 32 of 400 entries at genus 3, 2580 of
     1299600 at genus 10.  Each restriction leaves a small basis, so the
     later maps act on few vectors.
     """
     if g < 3:
         raise ValueError("the uniqueness certificate is stated for genus >= 3")
-    pairs = zip(generator_actions(g), _moved_rows(g))
+    n = comb(2 * g, 3)
     entries = _weight_block_entries(g)
-    maps = (_commutator_images(action, moved, entries) for (_, action), moved in pairs)
+    maps = (_commutator_images(moved, n, entries) for _, moved in generator_actions(g))
     return len(intlinalg.common_left_kernel(len(entries), maps))
 
 
@@ -392,8 +398,8 @@ def summand_correspondence_roundtrip(v: IntMatrix, g: int) -> RoundtripReport:
     reported rather than assumed so callers can probe non-examples.  Every
     verdict depends only on the row span L, so all are taken on its Hermite
     basis; invariance tests, with `intlinalg.row_span_contains`, only the
-    moved part of each basis row's image, a sparse combination of the rows
-    of A.T - I cached per genus.  An empty moved part lies in every lattice,
+    moved part of each basis row's image, a sparse combination of the
+    stored columns of M = A - I.  An empty moved part lies in every lattice,
     so it is not tested.
     """
     space = SymplecticSpace(g)
@@ -403,10 +409,11 @@ def summand_correspondence_roundtrip(v: IntMatrix, g: int) -> RoundtripReport:
     # The Hermite basis h of L is reduced above its pivots, so its rows are
     # sparser and smaller than v's own echelon rows.  A generator with
     # action A moves a row r of h to r @ A.T, which lies in L iff its moved
-    # part r @ (A.T - I) does.
-    moved_rows = _moved_rows(g)
+    # part r @ M.T does, M = A - I; the nonzero rows of M.T are the
+    # columns that `generator_actions` stores.
+    pairs = generator_actions(g)
     h = intlinalg.row_span_hnf(v)
-    moved_parts = (_moved_part(r, moved) for moved in moved_rows for r in h.sparse_rows)
+    moved_parts = (_times(r, moved) for _, moved in pairs for r in h.sparse_rows)
     invariant = all(not part or intlinalg.row_span_contains(h, part) for part in moved_parts)
     summand = intlinalg.is_direct_summand(h, n)
     if not (invariant and summand):

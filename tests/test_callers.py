@@ -1,5 +1,6 @@
 """Every public top-level function and class in src/surfalg has a caller
-there, and so does every public method and property of a public class.
+there, and so does every public method and property of a class, private
+classes included.
 
 A name that only the tests reach is library code the program does not use:
 it either gains a caller in src/ or goes.  The scan reads the source with
@@ -52,7 +53,8 @@ def _free_loads(tree: ast.AST) -> list[ast.Name]:
 
 def unreferenced(sources: dict[str, str]) -> set[tuple[str, str]]:
     """(module, name) of each public top-level def with no reference elsewhere,
-    and (module, "Class.member") of each unreached public member."""
+    and (module, "Class.member") of each unreached public member of any
+    top-level class."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     imports = {
         module: [
@@ -73,7 +75,7 @@ def unreferenced(sources: dict[str, str]) -> set[tuple[str, str]]:
     missing = set()
     for module, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             for member in node.body if isinstance(node, ast.ClassDef) else ():
                 if not isinstance(member, ast.FunctionDef) or member.name.startswith("_"):
@@ -81,6 +83,8 @@ def unreferenced(sources: dict[str, str]) -> set[tuple[str, str]]:
                 own = {id(n) for n in ast.walk(member)}
                 if not any(n.attr == member.name and id(n) not in own for n in attributes):
                     missing.add((module, f"{node.name}.{member.name}"))
+            if node.name.startswith("_"):
+                continue
             # {module: local names bound to this def}, following re-exports
             bound = {module: {node.name}}
             grew = True
@@ -175,5 +179,6 @@ def test_scan_sees_methods_and_properties():
     }
     # walk is reached only from its own body; size is read by width, and
     # width, called and empty by b; the store to t.stored reaches nothing;
-    # dunder and private members and a private class's members are exempt
-    assert unreferenced(sources) == {("a", "Tree.walk"), ("b", "caller")}
+    # dunder and private members are exempt, but a private class's public
+    # members are not: a subclass or an instance can reach them
+    assert unreferenced(sources) == {("a", "Tree.walk"), ("a", "_Private.unused"), ("b", "caller")}

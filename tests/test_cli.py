@@ -11,7 +11,7 @@ import pytest
 
 from surfalg import cli, enveloping, intlinalg, nilpotent, surface, symplectic, torelli
 from surfalg.intlinalg import IntMatrix
-from surfalg.symplectic import SpGenerator, SymplecticSpace, contraction_matrix, generator_actions
+from surfalg.symplectic import SpGenerator, SymplecticSpace, contraction_matrix, lambda3_action, sp_generators
 from surfalg.cli import (
     ConfigError,
     NonDivisibleError,
@@ -474,23 +474,25 @@ def test_torsion_entries_read_the_computed_group(monkeypatch):
 
 
 def test_equivariance_trials_count_what_dense_products_count(monkeypatch):
-    # every other action is forged (its rows reversed); testing each
-    # generator on every unit vector with dense column products must count
-    # the same equivariant generators as the check's matrix products
+    # every other full action is forged (its rows reversed) and stored as
+    # A - I; testing each generator on every unit vector with dense column
+    # products of the full actions must count the same equivariant
+    # generators as the check does on the stored form
     g = 2
-    pairs = tuple(
+    fulls = [
         (gen, act if k % 2 else IntMatrix(act.entries[::-1]))
-        for k, (gen, act) in enumerate(generator_actions(g))
-    )
-    monkeypatch.setattr(cli, "generator_actions", lambda _: pairs)
+        for k, (gen, act) in enumerate((gen, lambda3_action(gen)) for gen in sp_generators(g))
+    ]
+    pairs = tuple((gen, symplectic._moved_columns(act)) for gen, act in fulls)
+    monkeypatch.setattr(symplectic, "generator_actions", lambda _: pairs)
     config = RunConfig(genus=g, max_degree=3, suites=("sp-decomposition",))
     check = next(c for c in run(config).checks if c.name == "contraction-equivariance")
     c = contraction_matrix(SymplecticSpace(g))
     units = [IntMatrix([[int(i == j) for i in range(c.cols)]]).transpose() for j in range(c.cols)]
     dense_ok = sum(
-        all(c @ (action @ v) == gen.matrix @ (c @ v) for v in units) for gen, action in pairs
+        all(c @ (action @ v) == gen.matrix @ (c @ v) for v in units) for gen, action in fulls
     )
-    assert dense_ok == len(pairs) // 2
+    assert dense_ok == sum(c @ action == gen.matrix @ c for gen, action in fulls) == len(pairs) // 2
     assert check.status == "fail"
     assert check.expected == {"generators": len(pairs)}
     assert check.actual == {"generators": dense_ok}
@@ -504,12 +506,12 @@ def test_a_form_breaking_generator_fails_the_suite(monkeypatch):
         space = SymplecticSpace(g)
         return (SpGenerator(space, "upper-ii", 0, 0, IntMatrix.zeros(2 * g, 2 * g)),)
 
-    monkeypatch.setattr(symplectic, "_sp_generators", forged)
-    symplectic._generator_actions.cache_clear()
+    monkeypatch.setattr(symplectic, "sp_generators", forged)
+    symplectic.generator_actions.cache_clear()
     try:
         rep = run(RunConfig(genus=3, max_degree=3, suites=("sp-decomposition",)))
     finally:
-        symplectic._generator_actions.cache_clear()
+        symplectic.generator_actions.cache_clear()
     statuses = {c.name: c.status for c in rep.checks}
     assert statuses == {
         "cube-decomposition-dims": "pass",

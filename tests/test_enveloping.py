@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfalg import intlinalg
+from surfalg._kernel import reduce_terms
 from surfalg.enveloping import (
     NcPoly,
     _CommutatorRows,
@@ -23,6 +24,11 @@ from surfalg.freelie import LieElement, free_lie_algebra
 from surfalg.surface import build, omega_element
 
 
+def _reduce(ring, terms):
+    """terms reduced by the ring's rule, in the ring's memo."""
+    return reduce_terms(terms, *ring.lead, ring.rhs_words, ring.rhs_coeffs, ring._memo, ring.max_len)
+
+
 def brute_reduced_count(genus, degree):
     """Enumerate all words and count the ones avoiding the forbidden factor."""
     alg = enveloping_algebra(genus)
@@ -36,31 +42,31 @@ def brute_reduced_count(genus, degree):
 
 def poly(alg, terms):
     """The reduced polynomial of {word: coeff}."""
-    return NcPoly(alg, alg.reduce_raw(terms))
+    return NcPoly(alg, _reduce(alg, terms))
 
 
 class TestReduce:
     def test_relation_reduces_to_zero(self):
         for genus in (2, 3):
             alg = enveloping_algebra(genus)
-            assert alg.reduce_raw(alg.relation) == {}
+            assert _reduce(alg, alg.relation) == {}
 
     def test_leading_word_golden(self):
         # one-step hand reduction at genus 2: b2*a2 = a1*b1 - b1*a1 + a2*b2
         alg = enveloping_algebra(2)
-        assert alg.reduce_raw({(3, 2): 1}) == {(0, 1): 1, (1, 0): -1, (2, 3): 1}
+        assert _reduce(alg, {(3, 2): 1}) == {(0, 1): 1, (1, 0): -1, (2, 3): 1}
 
     def test_cancellation(self):
         alg = enveloping_algebra(2)
-        assert poly(alg, {(0, 3): 0}).is_zero()
-        assert (poly(alg, {(0, 3): 1}) - poly(alg, {(0, 3): 1})).is_zero()
+        assert poly(alg, {(0, 3): 0}) == NcPoly(alg, {})
+        assert poly(alg, {(0, 3): 1}) - poly(alg, {(0, 3): 1}) == NcPoly(alg, {})
 
     def test_normal_forms_avoid_lead(self):
         alg = enveloping_algebra(2)
         rng = random.Random(3)
         for _ in range(50):
             w = tuple(rng.randrange(4) for _ in range(rng.randint(0, 6)))
-            for word in alg.reduce_raw({w: 1}):
+            for word in _reduce(alg, {w: 1}):
                 assert not any(
                     word[i] == 3 and word[i + 1] == 2 for i in range(len(word) - 1)
                 )
@@ -85,7 +91,7 @@ class TestReduce:
     def test_genus_one_is_commutative_polynomials(self):
         # single relation b1*a1 -> a1*b1: normal forms are sorted words
         alg = enveloping_algebra(1)
-        assert alg.reduce_raw({(1, 0, 1, 0): 1}) == {(0, 0, 1, 1): 1}
+        assert _reduce(alg, {(1, 0, 1, 0): 1}) == {(0, 0, 1, 1): 1}
 
     def test_multiplication_associative(self):
         # normal forms are unique, so the reduced product must associate
@@ -112,11 +118,11 @@ class TestReduce:
             tuple((i + j) % 6 for j in range(5))
             for i in range(40)
         ] + [(5, 4) * 2, (5, 4, 5, 4, 0)]
-        expected = [alg.reduce_raw({w: 1}) for w in words]
+        expected = [_reduce(alg, {w: 1}) for w in words]
         fresh = enveloping_algebra(3)
 
         def work(w):
-            return alg.reduce_raw({w: 1})
+            return _reduce(alg, {w: 1})
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(work, words * 5))
@@ -173,8 +179,8 @@ class TestCenter:
         alg = enveloping_algebra(2)
         a1 = alg.letter(0)
         p = a1 * a1
-        assert p.commutator(a1).is_zero()
-        assert not p.commutator(alg.letter(1)).is_zero()
+        assert p.commutator(a1) == NcPoly(alg, {})
+        assert p.commutator(alg.letter(1)) != NcPoly(alg, {})
         assert center_in_degree_assoc(2, 2) == []
 
 
@@ -302,7 +308,7 @@ def expand_then_reduce(env, elem):
                 raw[w] = val
             else:
                 del raw[w]
-    return NcPoly(env, env.reduce_raw(raw))
+    return NcPoly(env, _reduce(env, raw))
 
 
 @st.composite
@@ -330,8 +336,8 @@ class TestFromLieMatchesExpandThenReduce:
         env = enveloping_algebra(2)
         fl = free_lie_algebra(4)
         # omega maps to the relation, which reduces to zero
-        assert env.from_lie(omega_element(2)).is_zero()
-        assert env.from_lie(fl.zero()).is_zero()
+        assert env.from_lie(omega_element(2)) == NcPoly(env, {})
+        assert env.from_lie(fl.zero()) == NcPoly(env, {})
         # [a1, b1] = a1 b1 - b1 a1, already reduced
         ab = fl.generator(0).bracket(fl.generator(1))
         assert env.from_lie(ab) == NcPoly(env, {(0, 1): 1, (1, 0): -1})

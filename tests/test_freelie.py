@@ -98,12 +98,12 @@ class TestBracket:
     def test_alternating(self):
         alg = free_lie_algebra(2)
         x = alg.generator(0) + 2 * alg.generator(1)
-        assert x.bracket(x).is_zero()
+        assert x.bracket(x) == alg.zero()
 
     def test_antisymmetry(self):
         alg = free_lie_algebra(2)
         a, b = alg.generator(0), alg.generator(1)
-        assert (a.bracket(b) + b.bracket(a)).is_zero()
+        assert a.bracket(b) + b.bracket(a) == alg.zero()
 
     def test_jacobi_paper_arrangement(self):
         # [x,[a,b]] + [b,[x,a]] + [a,[b,x]] = 0 on random triples
@@ -112,7 +112,7 @@ class TestBracket:
         for _ in range(40):
             x, a, b = (random_element(alg, rng) for _ in range(3))
             s = x.bracket(a.bracket(b)) + b.bracket(x.bracket(a)) + a.bracket(b.bracket(x))
-            assert s.is_zero()
+            assert s == alg.zero()
 
     def test_grading(self):
         rng = random.Random(5)

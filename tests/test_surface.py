@@ -244,7 +244,7 @@ class TestWrongLengthCoordinates:
             alg_g2.lift(2, [1])
         with pytest.raises(DimensionMismatch):
             alg_g2.bracket_coords(1, [1, 0, 0, 0, 5], 1, [0, 1, 0, 0])
-        assert alg_g2.lift(2, [0] * 5).is_zero()
+        assert alg_g2.lift(2, [0] * 5) == alg_g2.free.zero()
 
 
 def dense_reduce(ideal_rows, vec):

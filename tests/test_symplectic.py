@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surfalg import intlinalg
+from surfalg import intlinalg, symplectic
 from surfalg.enveloping import letter_name
 from surfalg.intlinalg import DimensionMismatch, IntMatrix
 from surfalg.symplectic import (
     RoundtripReport,
     SpGenerator,
     SymplecticSpace,
-    _moved_rows,
+    _commutator_images,
     _weight_block_entries,
     commutant_dimension,
     contraction,
@@ -36,6 +36,19 @@ from retract_transfer import transfer_verdicts
 
 def _eye(n):
     return IntMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def _minus_identity(act):
+    """The nonzero columns {c: A e_c - e_c} of A - I, read off A's dense
+    entries: the form `generator_actions` stores."""
+    n = act.rows
+    cols = {c: {r: act[r, c] - (r == c) for r in range(n) if act[r, c] != (r == c)} for c in range(n)}
+    return {c: col for c, col in cols.items() if col}
+
+
+def _full_actions(g):
+    """(gen, lambda3_action(gen)) over the generators, built in the test."""
+    return [(gen, lambda3_action(gen)) for gen in sp_generators(g)]
 
 
 def _cube_vector(space, *triple_coeffs):
@@ -121,19 +134,28 @@ class TestGenerators:
     def test_built_once_per_genus(self, g):
         gens = sp_generators(g)
         assert isinstance(gens, tuple)
-        assert sp_generators(g) is gens
+        assert sp_generators(g) == gens
         pairs = generator_actions(g)
         assert generator_actions(g) is pairs
         assert [gen for gen, _ in pairs] == list(gens)
-        for gen, action in pairs:
-            assert action == lambda3_action(gen.matrix)
+        for gen, moved in pairs:
+            assert moved == _minus_identity(lambda3_action(gen.matrix))
 
     @pytest.mark.parametrize("g", [3, 4])
     def test_actions_are_transposed_once_per_genus(self, g, monkeypatch):
-        # commutant_dimension and the roundtrip both read the cached moved
-        # rows; neither transposes an action again
+        # the store builds each full action once and keeps only A - I;
+        # commutant_dimension and the roundtrip read it and transpose nothing
+        generator_actions.cache_clear()
+        built = []
+        build = symplectic.lambda3_action
+
+        def counting_build(gen):
+            built.append(gen)
+            return build(gen)
+
+        monkeypatch.setattr(symplectic, "lambda3_action", counting_build)
         pairs = generator_actions(g)
-        _moved_rows.cache_clear()
+        assert built == list(sp_generators(g))
         calls = []
         transpose = IntMatrix.transpose
 
@@ -145,18 +167,15 @@ class TestGenerators:
         commutant_dimension(g)
         commutant_dimension(g)
         assert summand_correspondence_roundtrip(johnson_image(g), g)
-        assert len(calls) == len(pairs)
-        moved_rows = _moved_rows(g)
-        assert _moved_rows(g) is moved_rows
+        assert calls == []
+        assert generator_actions(g) is pairs
+        assert len(built) == len(pairs)
         monkeypatch.undo()
-        # with the unit rows added back, the moved rows are A.T's rows
-        for (_, action), moved in zip(pairs, moved_rows):
-            cols = []
-            for c in range(action.rows):
-                col = dict(moved.get(c, {}))
-                intlinalg._axpy(col, {c: 1}, 1)
-                cols.append(col)
-            assert tuple(cols) == action.transpose().sparse_rows
+        # the store holds no full action: per generator, only the nonzero
+        # columns of A - I, fewer than the cube has
+        for _, moved in pairs:
+            assert isinstance(moved, dict) and all(isinstance(col, dict) and col for col in moved.values())
+            assert len(moved) < comb(2 * g, 3)
 
     def test_bad_matrix_rejected(self):
         space = SymplecticSpace(1)
@@ -377,6 +396,15 @@ class TestCommutant:
         assert len(set(entries)) == unknowns
         assert {(k, k) for k in range(comb(2 * g, 3))} <= set(entries)
 
+    @pytest.mark.parametrize("g", [3, 4])
+    def test_images_on_the_stored_form_are_the_full_action_images(self, g):
+        # X -> M X - X M on the stored M = A - I against X -> A X - X A on
+        # the full action, on every weight-block entry
+        n = comb(2 * g, 3)
+        entries = _weight_block_entries(g)
+        for (_, moved), (_, act) in zip(generator_actions(g), _full_actions(g)):
+            assert _commutator_images(moved, n, entries) == list(_full_images(act, entries))
+
     @pytest.mark.parametrize("g", [3, 4, 5])
     def test_block_lattice_is_the_dense_lattice(self, g, monkeypatch):
         # commutant_dimension's kernel basis over the weight-block entries,
@@ -405,22 +433,24 @@ class TestCommutant:
         assert intlinalg.row_span_contains(got, {k * n + c: x for k, row in enumerate(p) for c, x in row.items()})
 
 
+def _full_images(act, entries):
+    """Images of the unit matrices E_kc, for (k, c) in entries, under
+    X -> A X - X A on a full action A, matrices flattened row by row."""
+    n = act.rows
+    cols, rows = act.transpose().sparse_rows, act.sparse_rows
+    for k, c in entries:
+        img = {r * n + c: x for r, x in cols[k].items()}
+        for j, x in rows[c].items():
+            img[k * n + j] = img.get(k * n + j, 0) - x
+        yield {i: x for i, x in img.items() if x}
+
+
 def _dense_commutant(g):
     """Reference: the commutant as the common left kernel over all n*n
-    entries of X, E_kc mapped to A E_kc - E_kc A for each generator action
-    A, matrices flattened row by row."""
+    entries of X, on the full actions."""
     n = comb(2 * g, 3)
-
-    def images(act):
-        cols, rows = act.transpose().sparse_rows, act.sparse_rows
-        for k in range(n):
-            for c in range(n):
-                img = {r * n + c: x for r, x in cols[k].items()}
-                for j, x in rows[c].items():
-                    img[k * n + j] = img.get(k * n + j, 0) - x
-                yield {i: x for i, x in img.items() if x}
-
-    return intlinalg.common_left_kernel(n * n, (list(images(act)) for _, act in generator_actions(g)))
+    entries = [(k, c) for k in range(n) for c in range(n)]
+    return intlinalg.common_left_kernel(n * n, (list(_full_images(act, entries)) for _, act in _full_actions(g)))
 
 
 class TestRoundtrip:
@@ -466,7 +496,7 @@ class TestRoundtrip:
 
     def test_image_rows_match_the_row_convention(self):
         v = johnson_image(3)
-        for _, act in generator_actions(3):
+        for _, act in _full_actions(3):
             assert (act @ v.transpose()).transpose() == v @ act.transpose()
 
     def test_non_summand_reported(self):
