@@ -192,11 +192,6 @@ class LieElement:
     def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
         return iter(self._coords.items())
 
-    def homogeneous_component(self, degree: int) -> "LieElement":
-        return LieElement(
-            self.algebra, {w: c for w, c in self._coords.items() if len(w) == degree}
-        )
-
     def _check_same(self, other: "LieElement"):
         if self.algebra is not other.algebra:
             raise ValueError("elements belong to different algebra handles")

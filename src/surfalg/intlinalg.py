@@ -83,10 +83,6 @@ class IntMatrix:
         m._echelon = None
         return m
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls._of(({} for _ in range(rows)), cols)
-
     @property
     def rows(self) -> int:
         return len(self._sparse)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from . import intlinalg
 from .errors import CertificateError, ResourceLimitExceeded
-from .freelie import LieElement, free_lie_algebra, witt_dimension
+from .freelie import FreeLieAlgebra, LieElement, free_lie_algebra, witt_dimension
 from .intlinalg import IntMatrix
 
 _DIMENSION_CAP = 20_000
@@ -31,15 +31,27 @@ def omega_element(g: int) -> LieElement:
     return out
 
 
+def _bracket_letter(fl: FreeLieAlgebra, d: int, row: dict, x: int) -> dict:
+    """[row, x] for a sparse row {column: coefficient} over fl.basis_words(d)
+    and the letter x, as a sparse row over fl.word_index(d + 1)."""
+    words = fl.basis_words(d)
+    out: dict = {}
+    for j, c in row.items():
+        intlinalg._axpy(out, fl.bracket_words(words[j], (x,)), c)
+    index = fl.word_index(d + 1)
+    return {index[w]: c for w, c in out.items()}
+
+
 @dataclass(frozen=True)
 class DegreeData:
     """Per-degree quotient data, all in free Lie basis coordinates.
 
     Vectors are sparse dicts {column: coefficient} over the degree's basis
-    words; the two dicts are shared by every reader and never mutated.
+    words (index coordinates, `FreeLieAlgebra.word_index`); the dicts are
+    shared by every reader and never mutated.  The values of pivot_rows are
+    the Hermite basis of the degree's ideal component.
     """
 
-    ideal_basis: IntMatrix             # Hermite basis of the ideal component, sparse rows
     pivot_rows: dict[int, dict]        # leading column -> its ideal row (pivot 1), increasing
     basis_columns: tuple[int, ...]     # complementary columns = quotient basis
     basis_index: dict[int, int]        # quotient-basis column -> quotient coordinate
@@ -97,21 +109,14 @@ class SurfaceAlgebra:
                 v[j] = new
         return v
 
-    def _free_coords(self, elem: LieElement, d: int) -> dict:
+    def project(self, elem: LieElement, d: int) -> tuple[int, ...]:
+        """Coordinates of the degree-d component in the quotient basis."""
+        data = self.degree_data(d)
         if elem.algebra is not self.free:
             raise ValueError("elements belong to different algebra handles")
         index = self.free.word_index(d)
-        return {index[w]: c for w, c in elem.homogeneous_component(d).items()}
-
-    def _project_sparse(self, elem: LieElement, d: int) -> dict:
-        """Quotient coordinates of the degree-d component, as {index: coeff}."""
-        basis_index = self.degree_data(d).basis_index
-        reduced = self._reduce(d, self._free_coords(elem, d))
-        return {basis_index[j]: x for j, x in reduced.items()}
-
-    def project(self, elem: LieElement, d: int) -> tuple[int, ...]:
-        """Coordinates of the degree-d component in the quotient basis."""
-        return intlinalg._dense_row(self._project_sparse(elem, d), self.rank(d))
+        reduced = self._reduce(d, {index[w]: c for w, c in elem.items() if len(w) == d})
+        return intlinalg._dense_row({data.basis_index[j]: x for j, x in reduced.items()}, data.rank)
 
     def lift(self, d: int, coords: Sequence[int]) -> LieElement:
         """Canonical free-Lie representative of quotient coordinates."""
@@ -122,13 +127,6 @@ class SurfaceAlgebra:
         words = self.free.basis_words(d)
         return LieElement(self.free, {words[col]: c for c, col in zip(coords, data.basis_columns)})
 
-    def basis_elements(self, d: int) -> list[LieElement]:
-        words = self.free.basis_words(d)
-        return [
-            LieElement(self.free, {words[col]: 1})
-            for col in self.degree_data(d).basis_columns
-        ]
-
     # -- graded bracket ------------------------------------------------------
 
     def bracket_coords(self, d1: int, coords1: Sequence[int], d2: int, coords2: Sequence[int]) -> tuple[int, ...]:
@@ -137,46 +135,20 @@ class SurfaceAlgebra:
         return self.project(z, d1 + d2)
 
 
-class GradedElement:
-    """Element of the quotient, stored per degree in the chosen bases."""
-
-    __slots__ = ("algebra", "_coords")
-
-    def __init__(self, algebra: SurfaceAlgebra, coords: dict[int, Sequence[int]]):
-        self.algebra = algebra
-        self._coords = {}
-        for d, vec in coords.items():
-            if not 1 <= d <= algebra.max_degree:
-                raise ValueError(f"degree {d} outside 1..{algebra.max_degree}")
-            tup = intlinalg._int_row(vec)
-            if len(tup) != algebra.rank(d):
-                raise ValueError(f"degree-{d} coordinates have wrong length")
-            if any(tup):
-                self._coords[d] = tup
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedElement)
-            and self.algebra is other.algebra
-            and self._coords == other._coords
-        )
-
-    def __repr__(self):
-        return f"GradedElement({self._coords!r})"
-
-
 def build(g: int, K: int) -> SurfaceAlgebra:
     """Construct the quotient through degree K.
 
-    The degree-d ideal component is spanned by brackets of the lower-degree
-    ideal bases with the generators (the ideal is generated in degree 2, and
-    degree-1 elements generate the free algebra, so these brackets span).
-    Quotient bases are the complements of the Hermite pivot columns, and the
-    build requires every pivot to be 1.  Unit pivots make the complement
-    columns a Z-basis of the quotient, so they imply freeness; the converse
-    fails (the span of (2, 3) in Z^2 is a direct summand with pivot 2), so
-    the Smith normal form check stays: it tells a quotient with torsion apart
-    from a free one whose Hermite basis has a non-unit pivot.
+    Every bracket is taken in index coordinates (`_bracket_letter`).  Degree
+    2 of the ideal is spanned by omega's row, and degree d + 1 by the
+    brackets of the degree-d Hermite rows with each letter (the ideal is
+    generated in degree 2, and degree-1 elements generate the free algebra,
+    so these brackets span).  Quotient bases are the complements of the
+    Hermite pivot columns, and the build requires every pivot to be 1.  Unit
+    pivots make the complement columns a Z-basis of the quotient, so they
+    imply freeness; the converse fails (the span of (2, 3) in Z^2 is a
+    direct summand with pivot 2), so the Smith normal form check stays: it
+    tells a quotient with torsion apart from a free one whose Hermite basis
+    has a non-unit pivot.
     """
     if g < 2:
         # genus 1 collapses: the relation kills the only degree-2 bracket and
@@ -192,20 +164,17 @@ def build(g: int, K: int) -> SurfaceAlgebra:
     degrees: dict[int, DegreeData] = {}
     n1 = len(fl.basis_words(1))
     degrees[1] = DegreeData(
-        ideal_basis=IntMatrix.zeros(0, n1),
         pivot_rows={},
         basis_columns=tuple(range(n1)),
         basis_index={j: j for j in range(n1)},
         rank=n1,
     )
     if K >= 2:
-        generators = [fl.generator(i) for i in range(2 * g)]
-        current: list[LieElement] = [omega_element(g)]
+        index = fl.word_index(2)
+        span = [{index[w]: c for w, c in omega_element(g).items()}]
         for d in range(2, K + 1):
-            words = fl.basis_words(d)
-            index = fl.word_index(d)
-            span = IntMatrix._of(({index[w]: c for w, c in elem.items()} for elem in current), len(words))
-            ideal = intlinalg.row_span_hnf(span)
+            n = len(fl.basis_words(d))
+            ideal = intlinalg.row_span_hnf(IntMatrix._of(span, n))
             # degreewise freeness: the quotient by this component is
             # torsion-free exactly when all invariant factors are 1
             if ideal.rows:
@@ -222,42 +191,40 @@ def build(g: int, K: int) -> SurfaceAlgebra:
                         f"degree-{d} ideal basis has a non-unit pivot at column {c}"
                     )
                 pivot_rows[c] = row
-            basis_cols = tuple(j for j in range(len(words)) if j not in pivot_rows)
+            basis_cols = tuple(j for j in range(n) if j not in pivot_rows)
             degrees[d] = DegreeData(
-                ideal_basis=ideal,
                 pivot_rows=pivot_rows,
                 basis_columns=basis_cols,
                 basis_index={j: i for i, j in enumerate(basis_cols)},
                 rank=len(basis_cols),
             )
             if d < K:
-                ideal_elems = [
-                    LieElement(fl, {words[j]: c for j, c in row.items()})
-                    for row in ideal.sparse_rows
-                ]
-                current = [e.bracket(x) for e in ideal_elems for x in generators]
+                span = [_bracket_letter(fl, d, row, x) for row in ideal.sparse_rows for x in range(2 * g)]
     return SurfaceAlgebra(g, K, degrees)
 
 
-def center_in_degree(alg: SurfaceAlgebra, d: int) -> list[GradedElement]:
-    """Basis of the degree-d elements whose bracket with every generator dies.
+def center_in_degree(alg: SurfaceAlgebra, d: int) -> list[dict]:
+    """Basis of the degree-d elements whose bracket with every generator dies,
+    as sparse rows {quotient coordinate: coefficient}.
 
     Degree-1 elements generate the quotient, so an element centralizing them
     is central.  Each generator gives one map into degree d+1, x -> [x, gen]
     in quotient coordinates, and the basis is their common integer left
     kernel.  The maps are built one at a time, so once the kernel is empty
-    the brackets with the remaining generators are never projected.
+    the brackets with the remaining generators are never reduced.
     """
     if d + 1 > alg.max_degree:
         raise ValueError(f"need degree {d + 1} <= built degree {alg.max_degree}")
-    basis = alg.basis_elements(d)
+    columns = alg.degree_data(d).basis_columns
+    upper = alg.degree_data(d + 1).basis_index
 
     def bracket_map(i: int) -> list[dict]:
-        gen = alg.free.generator(i)
-        return [alg._project_sparse(elem.bracket(gen), d + 1) for elem in basis]
+        return [
+            {upper[j]: x for j, x in alg._reduce(d + 1, _bracket_letter(alg.free, d, {c: 1}, i)).items()}
+            for c in columns
+        ]
 
-    combos = intlinalg.common_left_kernel(len(basis), map(bracket_map, range(2 * alg.genus)))
-    return [GradedElement(alg, {d: intlinalg._dense_row(combo, len(basis))}) for combo in combos]
+    return intlinalg.common_left_kernel(len(columns), map(bracket_map, range(2 * alg.genus)))
 
 
 @dataclass(frozen=True)

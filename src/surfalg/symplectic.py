@@ -165,16 +165,19 @@ def generator_actions(g: int) -> tuple[tuple[SpGenerator, dict], ...]:
     M is the only form of a cube action the package keeps: its nonzero
     columns {c: A e_c - e_c}, where A is the full action and a basis vector
     that A fixes has no entry.  Built once per genus, one generator at a
-    time, and each full action is dropped once its M is taken.
+    time: the rows of lambda3_action(S.T), S = gen.matrix, are the columns
+    of A, so M is read off them with no transpose of the cube, and each
+    full action is dropped once its M is taken.
     """
     check_cube_cap(g)
-    return tuple((gen, _moved_columns(lambda3_action(gen))) for gen in sp_generators(g))
+    return tuple((gen, _moved_columns(lambda3_action(gen.matrix.transpose()))) for gen in sp_generators(g))
 
 
-def _moved_columns(a: IntMatrix) -> dict:
-    """The nonzero columns {c: a e_c - e_c} of a - I, for a square matrix a."""
+def _moved_columns(at: IntMatrix) -> dict:
+    """The nonzero columns {c: a e_c - e_c} of a - I, for a square matrix a
+    given as its transpose at: row c of at, minus e_c, as it is stored."""
     out = {}
-    for c, col in enumerate(a.transpose().sparse_rows):
+    for c, col in enumerate(at.sparse_rows):
         if len(col) == 1 and col.get(c) == 1:
             continue  # a fixes e_c
         moved = dict(col)
@@ -199,14 +202,15 @@ def _times(r: dict, rows: dict) -> dict:
 
 
 def lambda3_action(m: IntMatrix | SpGenerator) -> IntMatrix:
-    """Induced matrix on the third exterior power, built from m's sparse columns.
+    """Induced matrix on the third exterior power, built from m's sparse rows.
 
-    Column (i<j<k) is the image (m e_i) ^ (m e_j) ^ (m e_k) of e_i ^ e_j ^ e_k,
-    expanded multilinearly over the nonzero entries of the three columns
-    with `wedge3`.  Its entry in row (p<q<r) is therefore still the 3x3 minor
-    det m[[p,q,r], [i,j,k]], and functoriality (composition goes to
-    composition) is the Cauchy-Binet identity.  A column costs the product
-    of the three column supports, a few terms for a generator.
+    Row (p<q<r) is (e_p m) ^ (e_q m) ^ (e_r m), the wedge of rows p, q, r of
+    m, expanded multilinearly over their nonzero entries with `wedge3`.  Its
+    entry in column (i<j<k) is therefore the 3x3 minor det m[[p,q,r],
+    [i,j,k]], so lambda3_action(m.T) is the transpose of lambda3_action(m),
+    and functoriality (composition goes to composition) is the Cauchy-Binet
+    identity.  A row costs the product of the three row supports, a few
+    terms for a generator.
     """
     if isinstance(m, SpGenerator):
         m = m.matrix
@@ -214,20 +218,20 @@ def lambda3_action(m: IntMatrix | SpGenerator) -> IntMatrix:
     if n != m.cols:
         raise ValueError("need a square matrix")
     trips, index = _triple_basis(n)
-    cols = m.transpose().sparse_rows
+    rows = m.sparse_rows
     images = []
-    for i, j, k in trips:
+    for p, q, r in trips:
         image: dict = {}
-        for p, x in cols[i].items():
-            for q, y in cols[j].items():
-                for r, z in cols[k].items():
-                    w = wedge3(p, q, r)
+        for i, x in rows[p].items():
+            for j, y in rows[q].items():
+                for k, z in rows[r].items():
+                    w = wedge3(i, j, k)
                     if w is None:
                         continue
                     t, sign = w
                     image[index[t]] = image.get(index[t], 0) + sign * x * y * z
-        images.append({row: x for row, x in image.items() if x})
-    return IntMatrix._of(images, len(trips)).transpose()
+        images.append({col: x for col, x in image.items() if x})
+    return IntMatrix._of(images, len(trips))
 
 
 def contraction_matrix(space: SymplecticSpace) -> IntMatrix:
@@ -249,7 +253,7 @@ def contraction_equivariance(g: int) -> tuple[int, int]:
     ok = 0
     for gen, moved in pairs:
         m_rows = _rows_of(moved)
-        n_rows = _moved_columns(gen.matrix.transpose())  # row i of N is column i of S.T - I
+        n_rows = _moved_columns(gen.matrix)  # row i of N = S - I is column i of S.T - I
         ok += all(_times(row, m_rows) == intlinalg._combination(n_rows.get(i, {}), c) for i, row in enumerate(c))
     return len(pairs), ok
 

@@ -27,6 +27,11 @@ from surfalg.errors import CertificateError
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
+def _zeros(rows, cols):
+    """The rows x cols zero matrix."""
+    return IntMatrix([[0] * cols] * rows, cols=cols)
+
+
 def _only(monkeypatch, entry):
     """Run the named report entry alone, whatever suite holds it."""
     run_check = cli._run_check
@@ -483,7 +488,7 @@ def test_equivariance_trials_count_what_dense_products_count(monkeypatch):
         (gen, act if k % 2 else IntMatrix(act.entries[::-1]))
         for k, (gen, act) in enumerate((gen, lambda3_action(gen)) for gen in sp_generators(g))
     ]
-    pairs = tuple((gen, symplectic._moved_columns(act)) for gen, act in fulls)
+    pairs = tuple((gen, symplectic._moved_columns(act.transpose())) for gen, act in fulls)
     monkeypatch.setattr(symplectic, "generator_actions", lambda _: pairs)
     config = RunConfig(genus=g, max_degree=3, suites=("sp-decomposition",))
     check = next(c for c in run(config).checks if c.name == "contraction-equivariance")
@@ -504,7 +509,7 @@ def test_a_form_breaking_generator_fails_the_suite(monkeypatch):
     # stands between it and a passing report.
     def forged(g):
         space = SymplecticSpace(g)
-        return (SpGenerator(space, "upper-ii", 0, 0, IntMatrix.zeros(2 * g, 2 * g)),)
+        return (SpGenerator(space, "upper-ii", 0, 0, _zeros(2 * g, 2 * g)),)
 
     monkeypatch.setattr(symplectic, "sp_generators", forged)
     symplectic.generator_actions.cache_clear()

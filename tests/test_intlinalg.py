@@ -34,6 +34,11 @@ from surfalg.intlinalg import (
 from retract_transfer import transfer_verdicts
 
 
+def zeros(rows, cols):
+    """The rows x cols zero matrix."""
+    return IntMatrix([[0] * cols] * rows, cols=cols)
+
+
 def det_bareiss(rows):
     """Fraction-free determinant; independent oracle for unimodularity."""
     m = [list(r) for r in rows]
@@ -114,11 +119,11 @@ class TestSnf:
         assert snf(IntMatrix([[2, 0], [0, 3]])).d == (1, 6)
 
     def test_zero(self):
-        assert snf(IntMatrix.zeros(2, 2)).d == (0, 0)
+        assert snf(zeros(2, 2)).d == (0, 0)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            snf(IntMatrix.zeros(0, 2))
+            snf(zeros(0, 2))
 
     @settings(max_examples=80, deadline=None)
     @given(small_matrices)
@@ -339,7 +344,7 @@ class TestSaturate:
 
 class TestCokernel:
     def test_free(self):
-        assert cokernel(IntMatrix.zeros(0, 3)) == FgAbGroup(3, ())
+        assert cokernel(zeros(0, 3)) == FgAbGroup(3, ())
 
     def test_z2(self):
         assert cokernel(IntMatrix([[2]])) == FgAbGroup(0, (2,))
@@ -478,8 +483,8 @@ class TestRowSpanMembership:
         assert not row_span_contains(a, [1, -2, 0])
         assert not row_span_contains(a, [0, 1, -2])
         assert not row_span_contains(a, [0, 0, 1])
-        assert row_span_contains(IntMatrix.zeros(2, 3), [0, 0, 0])
-        assert not row_span_contains(IntMatrix.zeros(0, 3), [0, 1, 0])
+        assert row_span_contains(zeros(2, 3), [0, 0, 0])
+        assert not row_span_contains(zeros(0, 3), [0, 1, 0])
 
     def test_wrong_length_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -515,7 +520,7 @@ class TestRowSpanMembership:
             with pytest.raises(DimensionMismatch):
                 row_span_contains(a, bad)
         with pytest.raises(DimensionMismatch):
-            row_span_contains(IntMatrix.zeros(0, 2), {0: 0, 2: 0})
+            row_span_contains(zeros(0, 2), {0: 0, 2: 0})
 
     @settings(max_examples=200, deadline=None)
     @given(small_matrices)
@@ -556,10 +561,10 @@ class TestTrustedConstruction:
             assert all(type(x) is int for r in m.entries for x in r)
 
     def test_empty_shapes(self):
-        assert IntMatrix.zeros(0, 3).transpose() == IntMatrix.zeros(3, 0)
-        assert IntMatrix.zeros(3, 0).transpose() == IntMatrix.zeros(0, 3)
-        assert IntMatrix._of([], 4) == IntMatrix.zeros(0, 4)
-        assert IntMatrix._of([], 4) != IntMatrix.zeros(0, 3)
+        assert zeros(0, 3).transpose() == zeros(3, 0)
+        assert zeros(3, 0).transpose() == zeros(0, 3)
+        assert IntMatrix._of([], 4) == zeros(0, 4)
+        assert IntMatrix._of([], 4) != zeros(0, 3)
 
     def test_public_constructor_still_validates(self):
         with pytest.raises(ValueError, match="ragged"):
@@ -636,15 +641,15 @@ class TestSparseStorageMatchesDenseOracles:
         assert (a == twin) == same
         if same:
             assert hash(a) == hash(twin)
-        assert a != IntMatrix.zeros(len(dense), cols + 1)
-        assert (a == IntMatrix.zeros(len(dense), cols)) == a.is_zero()
+        assert a != zeros(len(dense), cols + 1)
+        assert (a == zeros(len(dense), cols)) == a.is_zero()
 
     def test_zeros_and_repr(self):
         for n in range(4):
-            assert IntMatrix.zeros(n, 2).entries == ((0, 0),) * n
-            assert IntMatrix.zeros(2, n).entries == ((0,) * n,) * 2
-            assert IntMatrix.zeros(n, 2).is_zero()
-        assert IntMatrix.zeros(0, 0).shape == (0, 0)
+            assert zeros(n, 2).entries == ((0, 0),) * n
+            assert zeros(2, n).entries == ((0,) * n,) * 2
+            assert zeros(n, 2).is_zero()
+        assert zeros(0, 0).shape == (0, 0)
         assert repr(IntMatrix([[1, 0], [0, 3]])) == "IntMatrix([[1, 0], [0, 3]])"
 
 
@@ -715,7 +720,7 @@ class TestSummandWithoutSmith:
         assert not is_direct_summand(IntMatrix([[2, 4], [0, 6]]), 2)
         assert not is_direct_summand(IntMatrix([[1, 1, 0], [1, -1, 0]]), 3)
         assert is_direct_summand(IntMatrix([[0, 0], [0, 0]]), 2)
-        assert is_direct_summand(IntMatrix.zeros(0, 3), 3)
+        assert is_direct_summand(zeros(0, 3), 3)
         assert is_direct_summand(IntMatrix([[3, 0, 0], [0, 0, 0], [6, 0, 1]]), 3) is False
 
 
@@ -791,7 +796,7 @@ class TestNonIntegralInput:
         # a dict row would be read as its keys and a set row in arbitrary
         # order, so every dense coordinate entry point refuses both whole; a
         # dict's .values() is still a row
-        from surfalg.surface import GradedElement, build
+        from surfalg.surface import build
         from surfalg.symplectic import SymplecticSpace, contraction, theta_wedge
 
         alg = build(2, 2)
@@ -799,7 +804,6 @@ class TestNonIntegralInput:
         makers = {
             "matrix": lambda r: IntMatrix([r]),
             "lift": lambda r: alg.lift(1, r),
-            "graded": lambda r: GradedElement(alg, {1: r}),
             # at genus 2 both H and the cube have four coordinates
             "contraction": lambda r: contraction(r, space),
             "theta": lambda r: theta_wedge(space, r),

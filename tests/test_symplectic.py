@@ -38,6 +38,11 @@ def _eye(n):
     return IntMatrix([[int(i == j) for j in range(n)] for i in range(n)])
 
 
+def _zeros(rows, cols):
+    """The rows x cols zero matrix."""
+    return IntMatrix([[0] * cols] * rows, cols=cols)
+
+
 def _minus_identity(act):
     """The nonzero columns {c: A e_c - e_c} of A - I, read off A's dense
     entries: the form `generator_actions` stores."""
@@ -143,19 +148,18 @@ class TestGenerators:
 
     @pytest.mark.parametrize("g", [3, 4])
     def test_actions_are_transposed_once_per_genus(self, g, monkeypatch):
-        # the store builds each full action once and keeps only A - I;
-        # commutant_dimension and the roundtrip read it and transpose nothing
+        # the store builds each full action once, by rows, from the transpose
+        # of its generator's matrix, and keeps only A - I: the only matrices
+        # transposed are the 2g x 2g generators, never a cube-sized one, and
+        # commutant_dimension and the roundtrip transpose nothing
         generator_actions.cache_clear()
         built = []
         build = symplectic.lambda3_action
 
-        def counting_build(gen):
-            built.append(gen)
-            return build(gen)
+        def counting_build(m):
+            built.append(m)
+            return build(m)
 
-        monkeypatch.setattr(symplectic, "lambda3_action", counting_build)
-        pairs = generator_actions(g)
-        assert built == list(sp_generators(g))
         calls = []
         transpose = IntMatrix.transpose
 
@@ -163,14 +167,18 @@ class TestGenerators:
             calls.append(m.shape)
             return transpose(m)
 
+        monkeypatch.setattr(symplectic, "lambda3_action", counting_build)
         monkeypatch.setattr(IntMatrix, "transpose", counting)
+        pairs = generator_actions(g)
+        assert calls and set(calls) == {(2 * g, 2 * g)}
+        calls.clear()
         commutant_dimension(g)
         commutant_dimension(g)
         assert summand_correspondence_roundtrip(johnson_image(g), g)
         assert calls == []
         assert generator_actions(g) is pairs
-        assert len(built) == len(pairs)
         monkeypatch.undo()
+        assert built == [gen.matrix.transpose() for gen in sp_generators(g)]
         # the store holds no full action: per generator, only the nonzero
         # columns of A - I, fewer than the cube has
         for _, moved in pairs:
@@ -271,15 +279,23 @@ class TestLambda3MatchesMinors:
         a, b = _square(n, kind, rng), _square(n, other_kind, rng)
         assert lambda3_action(a @ b) == lambda3_action(a) @ lambda3_action(b)
 
+    @settings(max_examples=100, deadline=None)
+    @given(square_cases)
+    def test_commutes_with_transpose(self, case):
+        # the store reads the columns of lambda3(S) as the rows of lambda3(S.T)
+        n, kind, rng = case
+        m = _square(n, kind, rng)
+        assert lambda3_action(m.transpose()) == lambda3_action(m).transpose()
+
     @pytest.mark.parametrize("g", [1, 2, 3, 4])
     def test_generators(self, g):
         for gen in sp_generators(g):
             assert lambda3_action(gen) == _minors_action(gen.matrix)
 
     def test_singular_and_small(self):
-        assert lambda3_action(IntMatrix.zeros(5, 5)) == IntMatrix.zeros(10, 10)
+        assert lambda3_action(_zeros(5, 5)) == _zeros(10, 10)
         assert lambda3_action(_eye(2)).shape == (0, 0)
-        assert lambda3_action(IntMatrix.zeros(0, 0)).shape == (0, 0)
+        assert lambda3_action(_zeros(0, 0)).shape == (0, 0)
         assert lambda3_action(IntMatrix([[2, 0, 0], [0, 3, 0], [1, 1, 5]])) == IntMatrix([[30]])
         with pytest.raises(ValueError):
             lambda3_action(IntMatrix([[1, 0, 0]]))
@@ -585,7 +601,7 @@ class TestRoundtripMatchesDenseLoop:
 
     def test_zero_rows(self):
         n = comb(6, 3)
-        for v in (IntMatrix.zeros(0, n), IntMatrix.zeros(2, n)):
+        for v in (_zeros(0, n), _zeros(2, n)):
             assert summand_correspondence_roundtrip(v, 3) == _dense_roundtrip(v, 3)
 
 
