@@ -14,6 +14,7 @@ mutate it or the stored rows.
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Mapping, Set as AbstractSet
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -228,8 +229,9 @@ def _int_word(word: Iterable) -> tuple[int, ...]:
 def _pivots(a: IntMatrix) -> dict:
     """a's transform-free `sparse_echelon` pivots, memoized on a: read only.
 
-    `row_span_hnf` does not use this: `_hermite_rows` updates pivot rows in
-    place.
+    `row_span_hnf` does not use this: it builds an echelon of its own,
+    because `_hermite_rows` negates some pivot rows into new dicts and
+    reduces the rest in place, and the memo must stay the echelon.
     """
     pivots = a._echelon
     if pivots is None:
@@ -367,30 +369,55 @@ def common_left_kernel(n: int, maps: Iterable[Sequence[dict]]) -> list[dict]:
 def _hermite_rows(pivots: dict) -> tuple[list[dict], list[dict]]:
     """Hermite rows, and their transforms if any, from a `sparse_echelon` result.
 
-    Pivot column by pivot column from the left, each pivot row is made
-    positive and subtracted from the rows above it, so the entries above a
-    pivot p land in [0, p).  The transforms are reduced alongside when the
-    echelon carries them; otherwise the second list is empty.  The pivot
-    rows are updated in place.
+    Each pivot row is first made positive.  Then, from the last pivot to the
+    first, each row is reduced against the rows below it, which are already
+    final: the pivot columns the row holds are visited in increasing order
+    (a heap, as in `SurfaceAlgebra._reduce`), and the entry at each is
+    brought into [0, pivot) by subtracting a multiple of that column's final
+    row.  A final row adds entries only right of its own pivot, so no visited
+    column changes again, and a row never meets a column it does not hold.
+    The echelon rows are independent, so each final row's coefficients over
+    them, and so the rows and transforms, are the unique Hermite ones that a
+    top-down pass gives too.  The transforms are reduced alongside when the
+    echelon carries them; otherwise the second list is empty.  Rows that
+    need no sign change are the echelon's own dicts, updated in place.
     """
+    cols = sorted(pivots)
     h: list[dict] = []
     u: list[dict] = []
-    for c in sorted(pivots):
+    for c in cols:
         vec, trans = pivots[c]
         if vec[c] < 0:
             vec = {j: -x for j, x in vec.items()}
             if trans is not None:
                 trans = {j: -x for j, x in trans.items()}
-        p = vec[c]
-        for k, hrow in enumerate(h):
-            q = hrow.get(c, 0) // p
-            if q:
-                _axpy(hrow, vec, -q)
-                if trans is not None:
-                    _axpy(u[k], trans, -q)
         h.append(vec)
         if trans is not None:
             u.append(trans)
+    position = {c: k for k, c in enumerate(cols)}
+    # the pivot columns right of its own pivot that each final row holds
+    later: list[list[int]] = [[]] * len(cols)
+    for k in range(len(cols) - 1, -1, -1):
+        row = h[k]
+        todo = [j for j in row if j in position and j != cols[k]]
+        heapq.heapify(todo)
+        while todo:
+            c = heapq.heappop(todo)
+            x = row.get(c)
+            if x is None:
+                continue  # cancelled on the way
+            i = position[c]
+            final = h[i]
+            q = x // final[c]
+            if not q:
+                continue  # already in range, or a column pushed twice
+            for j in later[i]:
+                if j not in row:
+                    heapq.heappush(todo, j)
+            _axpy(row, final, -q)
+            if u:
+                _axpy(u[k], u[i], -q)
+        later[k] = [j for j in row if j in position and j != cols[k]]
     return h, u
 
 
@@ -400,8 +427,10 @@ def hermite_with_transform(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     h is in row-echelon form with positive pivots and entries above each
     pivot reduced into [0, pivot); zero rows come last.  h has the shape of
     a and u is square with a.rows rows.  `sparse_echelon` brings the rows to
-    echelon form and `_hermite_rows` normalizes it.  The rows of u from
-    rank(a) on are a basis of the left kernel of a.
+    echelon form and `_hermite_rows` normalizes it from the last pivot up,
+    reducing each row only against final rows and only at the pivot columns
+    it holds.  The rows of u from rank(a) on are a basis of the left kernel
+    of a.
     """
     nrows, ncols = a.shape
     pivots, knl = sparse_echelon(a._sparse, want_kernel=True)
@@ -477,21 +506,24 @@ def _diagonalize(a: IntMatrix) -> tuple[list[int], list[dict], list[dict]]:
     """(diagonal, u rows, v-transpose rows) from alternating Hermite steps.
 
     A function of its own so that the matrices of the last step are freed
-    before snf builds its result.
+    before snf builds its result.  The first step on each side is that
+    side's transform as it stands; later steps are composed onto it.  v
+    transposed is the identity when no column step runs.
     """
-    u = [{i: 1} for i in range(a.rows)]
-    vt = [{j: 1} for j in range(a.cols)]
+    u = vt = None
     m = a
     while True:
         m, step = hermite_with_transform(m)
-        u = [_combination(r, u) for r in step._sparse]
+        u = list(step._sparse) if u is None else [_combination(r, u) for r in step._sparse]
         if _is_diagonal(m):
             break
         m, step = hermite_with_transform(m.transpose())
-        vt = [_combination(r, vt) for r in step._sparse]
+        vt = list(step._sparse) if vt is None else [_combination(r, vt) for r in step._sparse]
         m = m.transpose()
         if _is_diagonal(m):
             break
+    if vt is None:
+        vt = [{j: 1} for j in range(a.cols)]
     return [m._sparse[k].get(k, 0) for k in range(min(a.shape))], u, vt
 
 
@@ -502,7 +534,9 @@ def snf(a: IntMatrix) -> SnfResult:
     `hermite_with_transform`) until it is diagonal; each round replaces a
     leading pivot by a divisor of it, or clears that pivot's row and column,
     so this terminates.  Nonzero diagonal entries come first.  Each pair
-    (p, q) of them with p not dividing q is then replaced by (gcd, lcm).
+    (p, q) of them with p not dividing q is then replaced by (gcd, lcm); a
+    factor 1 divides every other, so its pairs are skipped, and a diagonal of
+    ones costs one pass, not one per pair.
     The transforms are kept as sparse rows of u and of v transposed, and the
     result is checked exactly: a CertificateError is raised unless
     u @ a @ v == diag(d).  d has min(a.rows, a.cols) entries; u is square of
@@ -515,6 +549,8 @@ def snf(a: IntMatrix) -> SnfResult:
     d, u, vt = _diagonalize(a)
     r = sum(1 for x in d if x)
     for i in range(r):
+        if d[i] == 1:
+            continue  # 1 divides every later factor
         for j in range(i + 1, r):
             p, q = d[i], d[j]
             if q % p:

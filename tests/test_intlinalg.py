@@ -966,3 +966,175 @@ class TestAxpy:
         t = {(0, 1): 1}
         intlinalg._axpy(t, {(1, 0): 3}, 0)
         assert t == {(0, 1): 1}
+
+
+# ---------------------------------------------------------------------------
+# The Hermite and Smith forms against their earlier top-down forms, kept here
+# as oracles: every value they return must come out the same.
+
+
+def _top_down_hermite_rows(pivots):
+    """Pivot column by pivot column from the left: make the pivot positive and
+    subtract the row from every row above it, into [0, pivot)."""
+    h, u = [], []
+    for c in sorted(pivots):
+        vec, trans = pivots[c]
+        if vec[c] < 0:
+            vec = {j: -x for j, x in vec.items()}
+            if trans is not None:
+                trans = {j: -x for j, x in trans.items()}
+        p = vec[c]
+        for k, hrow in enumerate(h):
+            q = hrow.get(c, 0) // p
+            if q:
+                intlinalg._axpy(hrow, vec, -q)
+                if trans is not None:
+                    intlinalg._axpy(u[k], trans, -q)
+        h.append(vec)
+        if trans is not None:
+            u.append(trans)
+    return h, u
+
+
+def _top_down_hermite_with_transform(a):
+    pivots, knl = intlinalg.sparse_echelon(a.sparse_rows, want_kernel=True)
+    h, u = _top_down_hermite_rows(pivots)
+    h.extend({} for _ in knl)
+    return IntMatrix._of(h, a.cols), IntMatrix._of(u + knl, a.rows)
+
+
+def _top_down_diagonalize(a):
+    """Alternating top-down Hermite steps, each transform composed onto an
+    identity."""
+    u = [{i: 1} for i in range(a.rows)]
+    vt = [{j: 1} for j in range(a.cols)]
+    m = a
+    while True:
+        m, step = _top_down_hermite_with_transform(m)
+        u = [intlinalg._combination(r, u) for r in step.sparse_rows]
+        if intlinalg._is_diagonal(m):
+            break
+        m, step = _top_down_hermite_with_transform(m.transpose())
+        vt = [intlinalg._combination(r, vt) for r in step.sparse_rows]
+        m = m.transpose()
+        if intlinalg._is_diagonal(m):
+            break
+    return [m.sparse_rows[k].get(k, 0) for k in range(min(a.shape))], u, vt
+
+
+def _top_down_snf(a):
+    """(d, u, v) from the top-down steps and a gcd/lcm pass over every pair."""
+    d, u, vt = _top_down_diagonalize(a)
+    r = sum(1 for x in d if x)
+    for i in range(r):
+        for j in range(i + 1, r):
+            p, q = d[i], d[j]
+            if q % p:
+                x, y, g = xgcd(p, q)
+                d[i], d[j] = g, p // g * q
+                u[i], u[j] = (
+                    intlinalg._combine(u[i], x, u[j], y),
+                    intlinalg._combine(u[i], -(q // g), u[j], p // g),
+                )
+                vt[i], vt[j] = (
+                    intlinalg._combine(vt[i], 1, vt[j], 1),
+                    intlinalg._combine(vt[i], -y * (q // g), vt[j], x * (p // g)),
+                )
+    v = intlinalg._transpose_rows(vt, a.cols)
+    return tuple(d), IntMatrix._of(u, a.rows), IntMatrix._of(v, a.cols)
+
+
+# Sparse rows scaled by 1, -1, 2, -2 or 3 (negative and non-unit pivots),
+# with zero rows and integer combinations of earlier rows shuffled in.  Half
+# the entries are 0, so back-reduction meets pivot columns a row lacked.
+hermite_cases = st.tuples(st.integers(1, 7), st.integers(1, 7)).flatmap(
+    lambda shape: st.tuples(
+        st.lists(
+            st.tuples(
+                st.lists(
+                    st.one_of(st.just(0), st.integers(-5, 5)),
+                    min_size=shape[1],
+                    max_size=shape[1],
+                ),
+                st.sampled_from([1, -1, 2, -2, 3]),
+                st.sampled_from(["row", "zero", "dependent"]),
+                st.lists(st.integers(-2, 2), min_size=shape[0], max_size=shape[0]),
+            ),
+            min_size=shape[0],
+            max_size=shape[0],
+        ),
+        st.just(shape[1]),
+    )
+)
+
+
+def _hermite_case(case):
+    specs, cols = case
+    rows = []
+    for entries, scale, kind, coeffs in specs:
+        if kind == "zero":
+            rows.append([0] * cols)
+        elif kind == "dependent" and rows:
+            rows.append([sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(cols)])
+        else:
+            rows.append([scale * x for x in entries])
+    return IntMatrix(rows, cols=cols)
+
+
+class TestHermiteAgainstTopDown:
+    @settings(max_examples=300, deadline=None)
+    @given(hermite_cases)
+    def test_rows_and_transforms_match(self, case):
+        a = _hermite_case(case)
+        for want_kernel in (True, False):
+            # each side reduces its own echelon: both update rows in place
+            new = intlinalg._hermite_rows(intlinalg.sparse_echelon(a.sparse_rows, want_kernel)[0])
+            old = _top_down_hermite_rows(intlinalg.sparse_echelon(a.sparse_rows, want_kernel)[0])
+            assert new == old  # dicts compare by value, whatever their key order
+            assert bool(new[1]) == (want_kernel and bool(new[0]))
+        old_h, old_u = _top_down_hermite_with_transform(a)
+        assert hermite_with_transform(a) == (old_h, old_u)
+        assert row_span_hnf(a) == IntMatrix._of([r for r in old_h.sparse_rows if r], a.cols)
+
+    @settings(max_examples=200, deadline=None)
+    @given(hermite_cases)
+    def test_smith_forms_match(self, case):
+        a = _hermite_case(case)
+        res = snf(a)
+        d, u, v = _top_down_snf(a)
+        assert (res.d, res.u, res.v) == (d, u, v)
+
+    @pytest.mark.parametrize("g, K", [(2, 6), (3, 5), (4, 4)])
+    def test_graded_quotient_matches(self, g, K, monkeypatch):
+        from surfalg.surface import build
+
+        new = build(g, K)
+        with monkeypatch.context() as m:
+            # row_span_hnf and snf on the top-down steps
+            m.setattr(intlinalg, "_hermite_rows", _top_down_hermite_rows)
+            m.setattr(intlinalg, "_diagonalize", _top_down_diagonalize)
+            old = build(g, K)
+        for d in range(1, K + 1):
+            assert new.degree_data(d).pivot_rows == old.degree_data(d).pivot_rows
+            assert new.degree_data(d).basis_columns == old.degree_data(d).basis_columns
+
+    def test_back_reduction_visits_each_final_row_once(self, monkeypatch):
+        # rows e_i + e_(i+1), i < 200: already echelon, so the whole cost is
+        # the back-reduction; row i meets only row i + 1, once, and ends as
+        # e_i +- e_200.  A top-down pass subtracts each new pivot row from
+        # every row above it: 19,900 calls.
+        n = 200
+        a = IntMatrix._of([{i: 1, i + 1: 1} for i in range(n)], n + 1)
+        calls = 0
+        axpy = intlinalg._axpy
+
+        def counted(target, source, factor):
+            nonlocal calls
+            calls += 1
+            axpy(target, source, factor)
+
+        monkeypatch.setattr(intlinalg, "_axpy", counted)
+        h = row_span_hnf(a)
+        assert calls <= n - 1
+        assert h.sparse_rows[0] == {0: 1, n: -1}
+        assert all(row == {i: 1, n: (-1) ** (n - 1 - i)} for i, row in enumerate(h.sparse_rows))
