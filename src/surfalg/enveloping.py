@@ -5,7 +5,8 @@ by the two-sided ideal generated by sum_i (a_i b_i - b_i a_i).  Under the
 degree-lexicographic order with a1 < b1 < ... < ag < bg the relation's leading
 word is bg*ag, giving a single degree-preserving rewrite rule with no
 self-overlap; leftmost rewriting to a fixed point is therefore confluent and
-normal forms decide congruence.
+normal forms decide congruence.  Elements are dicts {reduced word:
+coefficient}, as the `freelie` module docstring sets out.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from math import comb
 from . import intlinalg
 from ._kernel import mul_letter, mul_reduce
 from .errors import CertificateError, ResourceLimitExceeded
-from .freelie import LieElement
 
 _DIMENSION_CAP = 100_000
 
@@ -132,88 +132,11 @@ class EnvelopingAlgebra(_RewriteRing):
     def word_index(self, degree: int) -> dict:
         return {w: i for i, w in enumerate(self.reduced_words(degree))}
 
-    def letter(self, index: int) -> "NcPoly":
-        if not 0 <= index < self.n_letters:
-            raise ValueError(f"letter {index} outside 0..{self.n_letters - 1}")
-        return NcPoly(self, {(index,): 1})
-
-    def from_lie(self, elem: LieElement) -> "NcPoly":
-        """Enveloping image of a Lie element (bracketings as commutators of
-        reduced polynomials: reduction is a ring homomorphism)."""
-        if elem.algebra.n != self.n_letters:
-            raise ValueError("letter counts differ")
-
-        def image(tree) -> NcPoly:
-            if isinstance(tree, int):
-                return self.letter(tree)
-            return image(tree[0]).commutator(image(tree[1]))
-
-        return sum((c * image(elem.algebra.bracketing(w)) for w, c in elem.items()), NcPoly(self, {}))
-
 
 @lru_cache(maxsize=None)
 def enveloping_algebra(genus: int) -> EnvelopingAlgebra:
     """Shared handle per genus (the reduction memo is expensive to rebuild)."""
     return EnvelopingAlgebra(genus)
-
-
-class NcPoly:
-    """Noncommutative polynomial stored fully reduced, no zero coefficients."""
-
-    __slots__ = ("algebra", "_terms")
-
-    def __init__(self, algebra: EnvelopingAlgebra, reduced_terms: dict):
-        self.algebra = algebra
-        self._terms = {w: c for w, c in reduced_terms.items() if c}
-
-    def items(self):
-        return iter(self._terms.items())
-
-    def _check_same(self, other: "NcPoly"):
-        if self.algebra is not other.algebra:
-            raise ValueError("polynomials belong to different algebra handles")
-
-    def __add__(self, other: "NcPoly") -> "NcPoly":
-        self._check_same(other)
-        out = dict(self._terms)
-        intlinalg._axpy(out, other._terms, 1)
-        return NcPoly(self.algebra, out)
-
-    def __sub__(self, other: "NcPoly") -> "NcPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "NcPoly":
-        return NcPoly(self.algebra, {w: -c for w, c in self._terms.items()})
-
-    def __rmul__(self, scalar: int) -> "NcPoly":
-        return NcPoly(self.algebra, {w: scalar * c for w, c in self._terms.items()})
-
-    def __mul__(self, other: "NcPoly") -> "NcPoly":
-        self._check_same(other)
-        return NcPoly(self.algebra, self.algebra.mul_raw(self._terms, other._terms))
-
-    def commutator(self, other: "NcPoly") -> "NcPoly":
-        return self * other - other * self
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NcPoly)
-            and self.algebra is other.algebra
-            and self._terms == other._terms
-        )
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __repr__(self):
-        if not self._terms:
-            return "NcPoly(0)"
-        bits = []
-        for w in sorted(self._terms, key=_deglex_key):
-            c = self._terms[w]
-            mono = "*".join(letter_name(x) for x in w) if w else "1"
-            bits.append(f"{c}*{mono}" if mono != "1" else f"{c}")
-        return "NcPoly(" + " + ".join(bits) + ")"
 
 
 def hilbert_dimension(genus: int, degree: int) -> int:
@@ -262,8 +185,9 @@ class _CommutatorRows:
         return {wx: 1, xw: -1} if wx != xw else {}
 
 
-def center_in_degree_assoc(genus: int, degree: int) -> list[NcPoly]:
-    """Basis of degree-d elements commuting with every generator.
+def center_in_degree_assoc(genus: int, degree: int) -> list[dict]:
+    """Basis of degree-d elements commuting with every generator, as sparse
+    rows {position in reduced_words(d): coefficient}.
 
     Each letter x gives one map into degree d+1, w -> w*x - x*w on the
     reduced words, and the basis is their common integer left kernel; the
@@ -287,8 +211,7 @@ def center_in_degree_assoc(genus: int, degree: int) -> list[NcPoly]:
         )
     basis = alg.reduced_words(degree)
     maps = (_CommutatorRows(alg, basis, x) for x in range(alg.n_letters))
-    combos = intlinalg.common_left_kernel(len(basis), maps)
-    return [NcPoly(alg, {basis[i]: c for i, c in combo.items()}) for combo in combos]
+    return intlinalg.common_left_kernel(len(basis), maps)
 
 
 def series_product(rank_by_degree: dict, max_degree: int) -> list[int]:

@@ -5,12 +5,18 @@ bracketing; arbitrary brackets are rewritten into the basis through the
 classical Jacobi recursion on standard factorizations.  Structure constants
 are cached per algebra, so building an algebra once and sharing it is cheap
 and safe (caches are only ever extended, never mutated in place).
+
+Coordinates, for the whole package.  An element of the degree-d piece of
+the free Lie algebra is a sparse dict {index in basis_words(d): coefficient}
+(`FreeLieAlgebra.word_index`), and so is an element of the surface group's
+graded quotient L, read modulo the degree's ideal rows (`surface`).  An
+element of the enveloping quotient U is a sparse dict {reduced word:
+coefficient} (`enveloping`).  Zero coefficients are never stored.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator
 
 from .errors import CertificateError, ResourceLimitExceeded
 from .intlinalg import _axpy
@@ -67,10 +73,8 @@ def lyndon_words(n: int, degree: int) -> list[tuple[int, ...]]:
 
 
 class FreeLieAlgebra:
-    """Handle fixing the alphabet size and the basis convention.
-
-    Two elements interoperate only when they carry the same handle.
-    """
+    """Handle fixing the alphabet size and the basis convention, with the
+    per-degree bases and the bracket's structure constants."""
 
     basis_convention = "lyndon-standard-factorization"
 
@@ -122,13 +126,6 @@ class FreeLieAlgebra:
             self._stdfact[word] = cached
         return cached
 
-    def bracketing(self, word: tuple[int, ...]):
-        """Canonical binary bracketing tree of a Lyndon word (ints at leaves)."""
-        if len(word) == 1:
-            return word[0]
-        u, v = self.standard_factorization(word)
-        return (self.bracketing(u), self.bracketing(v))
-
     def _is_standard_pair(self, u: tuple[int, ...], v: tuple[int, ...]) -> bool:
         # for Lyndon u < v the word uv is Lyndon; (u, v) is its standard
         # factorization iff u is a letter or u's right factor is >= v
@@ -157,14 +154,6 @@ class FreeLieAlgebra:
         self._brackets[key] = result
         return result
 
-    def zero(self) -> "LieElement":
-        return LieElement(self, {})
-
-    def generator(self, i: int) -> "LieElement":
-        if not 0 <= i < self.n:
-            raise ValueError(f"letter {i} outside 0..{self.n - 1}")
-        return LieElement(self, {(i,): 1})
-
 
 @lru_cache(maxsize=None)
 def _shared_algebra(n: int) -> FreeLieAlgebra:
@@ -174,65 +163,3 @@ def _shared_algebra(n: int) -> FreeLieAlgebra:
 def free_lie_algebra(n: int) -> FreeLieAlgebra:
     """Process-wide shared handle (idempotent, safe under concurrent first use)."""
     return _shared_algebra(n)
-
-
-class LieElement:
-    """Integer combination of basis words, graded by word length.
-
-    Zero coefficients are never stored.  Elements are value-like: all
-    operations return fresh instances.
-    """
-
-    __slots__ = ("algebra", "_coords")
-
-    def __init__(self, algebra: FreeLieAlgebra, coords: dict):
-        self.algebra = algebra
-        self._coords = {w: c for w, c in coords.items() if c}
-
-    def items(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        return iter(self._coords.items())
-
-    def _check_same(self, other: "LieElement"):
-        if self.algebra is not other.algebra:
-            raise ValueError("elements belong to different algebra handles")
-
-    def __add__(self, other: "LieElement") -> "LieElement":
-        self._check_same(other)
-        out = dict(self._coords)
-        _axpy(out, other._coords, 1)
-        return LieElement(self.algebra, out)
-
-    def __sub__(self, other: "LieElement") -> "LieElement":
-        return self + (-other)
-
-    def __neg__(self) -> "LieElement":
-        return LieElement(self.algebra, {w: -c for w, c in self._coords.items()})
-
-    def __rmul__(self, scalar: int) -> "LieElement":
-        return LieElement(self.algebra, {w: scalar * c for w, c in self._coords.items()})
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LieElement)
-            and self.algebra is other.algebra
-            and self._coords == other._coords
-        )
-
-    def __hash__(self):
-        return hash(frozenset(self._coords.items()))
-
-    def __repr__(self):
-        if not self._coords:
-            return "LieElement(0)"
-        parts = [f"{c}*{''.join(map(str, w))}" for w, c in sorted(self._coords.items())]
-        return "LieElement(" + " + ".join(parts) + ")"
-
-    def bracket(self, other: "LieElement") -> "LieElement":
-        self._check_same(other)
-        alg = self.algebra
-        out: dict = {}
-        for wa, ca in self._coords.items():
-            for wb, cb in other._coords.items():
-                _axpy(out, alg.bracket_words(wa, wb), ca * cb)
-        return LieElement(alg, out)
-

@@ -5,30 +5,21 @@ ideal generated by omega = sum_i [a_i, b_i]: each graded piece is a free
 Z-module (checked here degree by degree, not assumed), the ranks reproduce the
 power series 1/(1 - 2g t + t^2) through the usual graded product formula, and
 the center is certified empty in every computed degree by solving the exact
-integer linear system [x, generators] = 0.
+integer linear system [x, generators] = 0.  Elements are index rows over the
+free Lie basis, as the `freelie` module docstring sets out.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Sequence
 
 from . import intlinalg
 from .errors import CertificateError, ResourceLimitExceeded
-from .freelie import FreeLieAlgebra, LieElement, free_lie_algebra, witt_dimension
+from .freelie import FreeLieAlgebra, free_lie_algebra, witt_dimension
 from .intlinalg import IntMatrix
 
 _DIMENSION_CAP = 20_000
-
-
-def omega_element(g: int) -> LieElement:
-    """sum_i [a_i, b_i] in the free Lie algebra on 2g letters."""
-    fl = free_lie_algebra(2 * g)
-    out = fl.zero()
-    for k in range(g):
-        out = out + fl.generator(2 * k).bracket(fl.generator(2 * k + 1))
-    return out
 
 
 def _bracket_letter(fl: FreeLieAlgebra, d: int, row: dict, x: int) -> dict:
@@ -109,31 +100,6 @@ class SurfaceAlgebra:
                 v[j] = new
         return v
 
-    def project(self, elem: LieElement, d: int) -> tuple[int, ...]:
-        """Coordinates of the degree-d component in the quotient basis."""
-        data = self.degree_data(d)
-        if elem.algebra is not self.free:
-            raise ValueError("elements belong to different algebra handles")
-        index = self.free.word_index(d)
-        reduced = self._reduce(d, {index[w]: c for w, c in elem.items() if len(w) == d})
-        return intlinalg._dense_row({data.basis_index[j]: x for j, x in reduced.items()}, data.rank)
-
-    def lift(self, d: int, coords: Sequence[int]) -> LieElement:
-        """Canonical free-Lie representative of quotient coordinates."""
-        data = self.degree_data(d)
-        coords = intlinalg._int_row(coords)
-        if len(coords) != data.rank:
-            raise intlinalg.DimensionMismatch(f"degree {d} has rank {data.rank}, not {len(coords)}")
-        words = self.free.basis_words(d)
-        return LieElement(self.free, {words[col]: c for c, col in zip(coords, data.basis_columns)})
-
-    # -- graded bracket ------------------------------------------------------
-
-    def bracket_coords(self, d1: int, coords1: Sequence[int], d2: int, coords2: Sequence[int]) -> tuple[int, ...]:
-        """Bracket of quotient elements, in quotient coordinates of degree d1+d2."""
-        z = self.lift(d1, coords1).bracket(self.lift(d2, coords2))
-        return self.project(z, d1 + d2)
-
 
 def build(g: int, K: int) -> SurfaceAlgebra:
     """Construct the quotient through degree K.
@@ -170,8 +136,9 @@ def build(g: int, K: int) -> SurfaceAlgebra:
         rank=n1,
     )
     if K >= 2:
+        # omega = sum_k [a_k, b_k], and [a_k, b_k] is the basis word a_k b_k
         index = fl.word_index(2)
-        span = [{index[w]: c for w, c in omega_element(g).items()}]
+        span = [{index[(2 * k, 2 * k + 1)]: 1 for k in range(g)}]
         for d in range(2, K + 1):
             n = len(fl.basis_words(d))
             ideal = intlinalg.row_span_hnf(IntMatrix._of(span, n))

@@ -21,8 +21,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "surfalg"
 ALLOWED = {
     ("symplectic", "contraction"): "the vector form of contraction_matrix, the tests' oracle for it",
     ("symplectic", "h_projector"): "P with P^2 = (g-1)P, the witness of the splitting index of theta^H",
-    ("surface", "SurfaceAlgebra.bracket_coords"): "a tool for the Johnson filtration of the point-pushing subgroup",
-    ("enveloping", "EnvelopingAlgebra.from_lie"): "a tool for the Johnson filtration of the point-pushing subgroup",
 }
 
 

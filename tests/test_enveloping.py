@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from surfalg import intlinalg
 from surfalg._kernel import reduce_terms
 from surfalg.enveloping import (
-    NcPoly,
     _CommutatorRows,
     center_in_degree_assoc,
     enveloping_algebra,
@@ -20,8 +19,9 @@ from surfalg.enveloping import (
     series_product,
     target_series,
 )
-from surfalg.freelie import LieElement, free_lie_algebra
-from surfalg.surface import build, omega_element
+from surfalg.freelie import free_lie_algebra
+from surfalg.surface import build
+from lie_dicts import bracket, bracketing, omega
 
 
 def _reduce(ring, terms):
@@ -42,7 +42,14 @@ def brute_reduced_count(genus, degree):
 
 def poly(alg, terms):
     """The reduced polynomial of {word: coeff}."""
-    return NcPoly(alg, _reduce(alg, terms))
+    return _reduce(alg, terms)
+
+
+def commutator(alg, p, q):
+    """p*q - q*p for reduced polynomials."""
+    out = alg.mul_raw(p, q)
+    intlinalg._axpy(out, alg.mul_raw(q, p), -1)
+    return out
 
 
 class TestReduce:
@@ -58,8 +65,12 @@ class TestReduce:
 
     def test_cancellation(self):
         alg = enveloping_algebra(2)
-        assert poly(alg, {(0, 3): 0}) == NcPoly(alg, {})
-        assert poly(alg, {(0, 3): 1}) - poly(alg, {(0, 3): 1}) == NcPoly(alg, {})
+        assert poly(alg, {(0, 3): 0}) == {}
+        assert poly(alg, {(0, 3): 1, (1,): 2, (): 5, (3, 2): 0}) == {(0, 3): 1, (1,): 2, (): 5}
+        # a sum that cancels only once its leading word is rewritten
+        assert poly(alg, {(3, 2): 1, (0, 1): -1, (1, 0): 1, (2, 3): -1}) == {}
+        p = poly(alg, {(0, 3): 1})
+        assert commutator(alg, p, p) == {}
 
     def test_normal_forms_avoid_lead(self):
         alg = enveloping_algebra(2)
@@ -86,7 +97,7 @@ class TestReduce:
             for wa, ca in p.items():
                 for wb, cb in q.items():
                     prod[wa + wb] = prod.get(wa + wb, 0) + ca * cb
-            assert poly(alg, prod) == poly(alg, p) * poly(alg, q)
+            assert poly(alg, prod) == alg.mul_raw(poly(alg, p), poly(alg, q))
 
     def test_genus_one_is_commutative_polynomials(self):
         # single relation b1*a1 -> a1*b1: normal forms are sorted words
@@ -107,7 +118,7 @@ class TestReduce:
                     },
                 )
             a, b, c = rand(), rand(), rand()
-            assert (a * b) * c == a * (b * c)
+            assert alg.mul_raw(alg.mul_raw(a, b), c) == alg.mul_raw(a, alg.mul_raw(b, c))
 
     def test_concurrent_reduction_is_safe(self):
         # the shared memo is only ever extended with idempotent entries
@@ -177,10 +188,10 @@ class TestCenter:
         # after the first generator the kernel is nonempty, and later
         # generators must clear it
         alg = enveloping_algebra(2)
-        a1 = alg.letter(0)
-        p = a1 * a1
-        assert p.commutator(a1) == NcPoly(alg, {})
-        assert p.commutator(alg.letter(1)) != NcPoly(alg, {})
+        a1, b1 = {(0,): 1}, {(1,): 1}
+        p = alg.mul_raw(a1, a1)
+        assert commutator(alg, p, a1) == {}
+        assert commutator(alg, p, b1) != {}
         assert center_in_degree_assoc(2, 2) == []
 
 
@@ -213,9 +224,25 @@ class TestCommutatorMapsMatchGenericProducts:
         indexed = [[{index[ww]: cc for ww, cc in row.items()} for row in m] for m in generic_maps]
         oracle = intlinalg.common_left_kernel(len(basis), indexed)
         got = center_in_degree_assoc(genus, degree)
-        assert got == [NcPoly(alg, {basis[i]: c for i, c in combo.items()}) for combo in oracle]
+        assert got == oracle
         # genus 1 is commutative, so every word of the degree is central
         assert len(got) == (hilbert_dimension(genus, degree) if genus == 1 else 0)
+
+
+def from_lie(env, fl, elem):
+    """The enveloping image of a free Lie word dict: each word's bracketing
+    as commutators of reduced polynomials (reduction is a ring
+    homomorphism)."""
+
+    def image(tree):
+        if isinstance(tree, int):
+            return {(tree,): 1}
+        return commutator(env, image(tree[0]), image(tree[1]))
+
+    out = {}
+    for w, c in elem.items():
+        intlinalg._axpy(out, image(bracketing(fl, w)), c)
+    return out
 
 
 class TestLieCompatibility:
@@ -231,10 +258,10 @@ class TestLieCompatibility:
                 for _ in range(2):
                     d = rng.randint(1, max_degree)
                     coords[rng.choice(fl.basis_words(d))] = rng.randint(-2, 2)
-                return LieElement(fl, coords)
+                return coords
             x, y = rand_elem(3), rand_elem(2)
-            lhs = env.from_lie(x.bracket(y))
-            rhs = env.from_lie(x).commutator(env.from_lie(y))
+            lhs = from_lie(env, fl, bracket(fl, x, y))
+            rhs = commutator(env, from_lie(env, fl, x), from_lie(env, fl, y))
             assert lhs == rhs
 
 
@@ -265,22 +292,7 @@ def test_letter_names():
     assert [letter_name(i) for i in range(6)] == ["a1", "b1", "a2", "b2", "a3", "b3"]
 
 
-def test_poly_repr_and_coefficient():
-    alg = enveloping_algebra(2)
-    p = poly(alg, {(0, 3): 1, (1,): 2, (): 5, (3, 2): 0})
-    assert dict(p.items()) == {(0, 3): 1, (1,): 2, (): 5}
-    assert repr(p) == "NcPoly(5 + 2*b1 + 1*a1*b2)"
-    assert repr(NcPoly(alg, {})) == "NcPoly(0)"
-
-
-def test_letters_outside_the_alphabet_refused():
-    alg = enveloping_algebra(2)
-    for index in (-1, 4, 9):
-        with pytest.raises(ValueError, match=r"outside 0\.\.3"):
-            alg.letter(index)
-
-
-def expand_then_reduce(env, elem):
+def expand_then_reduce(env, fl, elem):
     """The enveloping image as it was built before the commutators were
     formed on reduced polynomials: every bracketing expanded in the free
     associative algebra, summed unreduced, and reduced once at the end."""
@@ -302,49 +314,48 @@ def expand_then_reduce(env, elem):
         return out
 
     for word, coeff in elem.items():
-        for w, c in expand(elem.algebra.bracketing(word)).items():
+        for w, c in expand(bracketing(fl, word)).items():
             val = raw.get(w, 0) + coeff * c
             if val:
                 raw[w] = val
             else:
                 del raw[w]
-    return NcPoly(env, _reduce(env, raw))
+    return _reduce(env, raw)
 
 
 @st.composite
 def lie_elements(draw):
-    """(enveloping algebra, Lie element) at genus 1-3, degrees 1-5."""
+    """(enveloping algebra, free Lie algebra, word dict) at genus 1-3,
+    degrees 1-5."""
     genus = draw(st.integers(1, 3))
     fl = free_lie_algebra(2 * genus)
     coords = {}
     for _ in range(draw(st.integers(0, 4))):
         words = fl.basis_words(draw(st.integers(1, 5)))
         coords[words[draw(st.integers(0, len(words) - 1))]] = draw(st.integers(-3, 3))
-    return enveloping_algebra(genus), LieElement(fl, coords)
+    return enveloping_algebra(genus), fl, {w: c for w, c in coords.items() if c}
 
 
 class TestFromLieMatchesExpandThenReduce:
     @settings(max_examples=150, deadline=None)
     @given(lie_elements())
     def test_random_elements(self, case):
-        env, elem = case
-        got = env.from_lie(elem)
-        assert got == expand_then_reduce(env, elem)
-        assert all(c for _, c in got.items())
+        env, fl, elem = case
+        got = from_lie(env, fl, elem)
+        assert got == expand_then_reduce(env, fl, elem)
+        assert all(got.values())
 
     def test_fixed_cases(self):
         env = enveloping_algebra(2)
         fl = free_lie_algebra(4)
         # omega maps to the relation, which reduces to zero
-        assert env.from_lie(omega_element(2)) == NcPoly(env, {})
-        assert env.from_lie(fl.zero()) == NcPoly(env, {})
+        assert from_lie(env, fl, omega(fl, 2)) == {}
+        assert from_lie(env, fl, {}) == {}
         # [a1, b1] = a1 b1 - b1 a1, already reduced
-        ab = fl.generator(0).bracket(fl.generator(1))
-        assert env.from_lie(ab) == NcPoly(env, {(0, 1): 1, (1, 0): -1})
-        assert env.from_lie(ab) == expand_then_reduce(env, ab)
+        ab = bracket(fl, {(0,): 1}, {(1,): 1})
+        assert from_lie(env, fl, ab) == {(0, 1): 1, (1, 0): -1}
+        assert from_lie(env, fl, ab) == expand_then_reduce(env, fl, ab)
         # [a2, b2] reduces through the rule: b2 a2 is the leading word
-        cd = fl.generator(2).bracket(fl.generator(3))
-        assert env.from_lie(cd) == NcPoly(env, {(1, 0): 1, (0, 1): -1})
-        assert env.from_lie(3 * cd) == 3 * env.from_lie(cd)
-        with pytest.raises(ValueError, match="letter counts differ"):
-            env.from_lie(free_lie_algebra(6).generator(0))
+        cd = bracket(fl, {(2,): 1}, {(3,): 1})
+        assert from_lie(env, fl, cd) == {(1, 0): 1, (0, 1): -1}
+        assert from_lie(env, fl, {w: 3 * c for w, c in cd.items()}) == {(1, 0): 3, (0, 1): -3}

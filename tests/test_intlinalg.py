@@ -31,6 +31,7 @@ from surfalg.intlinalg import (
     sparse_rank,
     xgcd,
 )
+from lie_dicts import lift
 from retract_transfer import transfer_verdicts
 
 
@@ -803,7 +804,7 @@ class TestNonIntegralInput:
         space = SymplecticSpace(2)
         makers = {
             "matrix": lambda r: IntMatrix([r]),
-            "lift": lambda r: alg.lift(1, r),
+            "lift": lambda r: lift(alg, 1, r),
             # at genus 2 both H and the cube have four coordinates
             "contraction": lambda r: contraction(r, space),
             "theta": lambda r: theta_wedge(space, r),

@@ -30,6 +30,7 @@ from surfalg.nilpotent import (
 )
 from surfalg.freelie import free_lie_algebra
 from surfalg.surface import build
+from lie_dicts import bracketing
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -536,8 +537,9 @@ class TestCommutatorRoute:
 
 
 def tree_realization(genus, degree):
-    """Hall words by the earlier route: each basis word's bracketing tree
-    realized by free multiplication, every subtree built afresh."""
+    """Hall words by the earlier route: each basis word's bracketing tree,
+    built from its standard factorization, realized by free multiplication,
+    every subtree built afresh."""
     fl = free_lie_algebra(2 * genus)
 
     def realize(tree):
@@ -545,7 +547,7 @@ def tree_realization(genus, degree):
             return GroupWord.generator(genus, tree)
         return realize(tree[0]).commutator(realize(tree[1]))
 
-    return [realize(fl.bracketing(w)) for w in fl.basis_words(degree)]
+    return [realize(bracketing(fl, w)) for w in fl.basis_words(degree)]
 
 
 HALL_DEGREES = [(2, d) for d in range(1, 6)] + [(3, d) for d in range(1, 5)]
