@@ -1,15 +1,16 @@
 """Exact linear algebra over the integers.
 
 Smith and Hermite normal forms with unimodular transforms, integer kernels,
-row-span saturation, and direct-summand certificates.  Coefficients are
+row-span membership and direct-summand certificates.  Coefficients are
 arbitrary-precision Python ints throughout.  A single elimination routine,
-`sparse_echelon`, does every reduction on rows stored as dicts
+`sparse_echelon`, does every elimination on rows stored as dicts
 {column: coefficient}; the normal forms, kernels and ranks are built on its
-output.  `IntMatrix` stores its rows in that same format; dense tuples are
-only a view built on request.  Every matrix value is immutable and every
-operation returns fresh results, so all functions here are safe to call
-concurrently.  A matrix caches its transform-free echelon; no caller may
-mutate it or the stored rows.
+output, and `_reduce` is the one reduction of a vector modulo Hermite rows.
+`IntMatrix` stores its rows in that same format; dense tuples are only a
+view built on request.  Every matrix value is immutable and every operation
+returns fresh results, so all functions here are safe to call concurrently.
+A matrix caches its Hermite basis; no caller may mutate it or the stored
+rows.
 """
 
 from __future__ import annotations
@@ -52,12 +53,14 @@ class IntMatrix:
     constructor coerces every entry with int(), refuses any non-string entry
     that int() would change (1.9, 2.5), and rejects ragged rows;
     `IntMatrix._of` skips all of it and is only for rows the package built.
-    The transform-free `sparse_echelon` (`_pivots`) is memoized on first
-    use; the rows never change, so it never goes stale.  Rows and memo are
-    shared by every reader, so no caller may mutate either.
+    The Hermite basis of the row span, {pivot column: row} in increasing
+    column order (`_hermite`), is memoized on first use and read by
+    `row_span_hnf`, `row_span_contains` and `is_direct_summand`; the rows
+    never change, so it never goes stale.  Rows and memo are shared by every
+    reader, so no caller may mutate either.
     """
 
-    __slots__ = ("_sparse", "_cols", "_echelon")
+    __slots__ = ("_sparse", "_cols", "_hermite")
 
     def __init__(self, rows: Iterable[Iterable[int]], cols: int | None = None):
         data = tuple(map(_int_row, rows))
@@ -73,7 +76,7 @@ class IntMatrix:
             raise ValueError("a matrix with no rows needs an explicit column count")
         self._sparse = tuple(map(_sparse, data))
         self._cols = cols
-        self._echelon = None
+        self._hermite = None
 
     @classmethod
     def _of(cls, rows: Iterable[dict], cols: int) -> "IntMatrix":
@@ -81,7 +84,7 @@ class IntMatrix:
         m = object.__new__(cls)
         m._sparse = tuple(rows)
         m._cols = cols
-        m._echelon = None
+        m._hermite = None
         return m
 
     @property
@@ -145,10 +148,6 @@ class SnfResult:
     d: tuple[int, ...]
     u: IntMatrix
     v: IntMatrix
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for x in self.d if x != 0)
 
     @property
     def nonzero_factors(self) -> tuple[int, ...]:
@@ -226,20 +225,7 @@ def _int_word(word: Iterable) -> tuple[int, ...]:
     return _int_row(word)
 
 
-def _pivots(a: IntMatrix) -> dict:
-    """a's transform-free `sparse_echelon` pivots, memoized on a: read only.
-
-    `row_span_hnf` does not use this: it builds an echelon of its own,
-    because `_hermite_rows` negates some pivot rows into new dicts and
-    reduces the rest in place, and the memo must stay the echelon.
-    """
-    pivots = a._echelon
-    if pivots is None:
-        pivots = a._echelon = sparse_echelon(a._sparse)[0]
-    return pivots
-
-
-def _transpose_rows(rows: Sequence[dict], cols: int) -> list[dict]:
+def _transpose_rows(rows: Iterable[dict], cols: int) -> list[dict]:
     out: list[dict] = [{} for _ in range(cols)]
     for i, row in enumerate(rows):
         for j, x in row.items():
@@ -372,7 +358,7 @@ def _hermite_rows(pivots: dict) -> tuple[list[dict], list[dict]]:
     Each pivot row is first made positive.  Then, from the last pivot to the
     first, each row is reduced against the rows below it, which are already
     final: the pivot columns the row holds are visited in increasing order
-    (a heap, as in `SurfaceAlgebra._reduce`), and the entry at each is
+    (a heap, as in `_reduce`), and the entry at each is
     brought into [0, pivot) by subtracting a multiple of that column's final
     row.  A final row adds entries only right of its own pivot, so no visited
     column changes again, and a row never meets a column it does not hold.
@@ -439,21 +425,56 @@ def hermite_with_transform(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     return IntMatrix._of(h, ncols), IntMatrix._of(u + knl, nrows)
 
 
+def _hermite(a: IntMatrix) -> dict:
+    """a's Hermite rows {pivot column: row}, increasing, memoized on a: read only."""
+    rows = a._hermite
+    if rows is None:
+        pivots, _ = sparse_echelon(a._sparse)
+        h, _ = _hermite_rows(pivots)
+        rows = a._hermite = dict(zip(sorted(pivots), h))
+    return rows
+
+
+def _reduce(v: dict, rows: dict) -> dict:
+    """Reduce the sparse v modulo Hermite rows {pivot column: row}, in place.
+
+    The pivot columns v holds are visited in increasing order, and the entry
+    at each is brought into [0, pivot) by subtracting q = x // pivot times
+    that column's row.  A row adds entries only right of its pivot, so no
+    visited column changes again.  v is in the rows' span iff nothing is
+    left: a member's leftmost entry sits at a pivot column, as a multiple
+    of that pivot.
+    """
+    todo = [c for c in v if c in rows]
+    heapq.heapify(todo)
+    while todo:
+        c = heapq.heappop(todo)
+        row = rows[c]
+        q = v.get(c, 0) // row[c]
+        if not q:
+            continue  # in range, a column pushed twice, or cancelled on the way
+        for j, x in row.items():
+            new = v.get(j, 0) - q * x
+            if not new:
+                del v[j]
+                continue
+            if j not in v and j in rows:
+                heapq.heappush(todo, j)
+            v[j] = new
+    return v
+
+
 def row_span_hnf(a: IntMatrix) -> IntMatrix:
     """Canonical basis (Hermite form, zero rows dropped) of the row span.
 
     The same rows as the nonzero rows of `hermite_with_transform`, built
-    without the transform.
+    without the transform; they are a's memo (`_hermite`), which is also
+    the result's own.
     """
-    pivots, _ = sparse_echelon(a._sparse)
-    h, _ = _hermite_rows(pivots)
-    return IntMatrix._of(h, a.cols)
-
-
-def same_row_span(a: IntMatrix, b: IntMatrix) -> bool:
-    if a.cols != b.cols:
-        raise DimensionMismatch("ambient dimensions differ")
-    return row_span_hnf(a) == row_span_hnf(b)
+    rows = _hermite(a)
+    h = IntMatrix._of(tuple(rows.values()), a.cols)
+    h._hermite = rows
+    return h
 
 
 def row_span_contains(a: IntMatrix, vec: Sequence[int] | dict) -> bool:
@@ -463,12 +484,11 @@ def row_span_contains(a: IntMatrix, vec: Sequence[int] | dict) -> bool:
     {column: coefficient} with columns in range(a.cols); either way its
     entries are coerced as by the IntMatrix constructor (`_int_row`), and
     zero values of a dict are dropped.  A wrong length or a column outside
-    the range raises DimensionMismatch.  vec is reduced against the echelon
-    rows of a, which have distinct leading columns and span the same
-    lattice: it is a member iff each leading entry met is a multiple of that
-    column's pivot and nothing is left.  The echelon is computed once per
-    matrix and kept on it, so testing many vectors against one matrix costs
-    one elimination.  A dict given as vec is only read.
+    the range raises DimensionMismatch.  vec is reduced (`_reduce`) modulo
+    the Hermite basis of a, and it is a member iff nothing is left.  The
+    basis is computed once per matrix and kept on it, so testing many
+    vectors against one matrix costs one elimination.  A dict given as vec
+    is only read.
     """
     if isinstance(vec, dict):
         columns = range(a.cols)
@@ -479,18 +499,7 @@ def row_span_contains(a: IntMatrix, vec: Sequence[int] | dict) -> bool:
         raise DimensionMismatch("vector length differs from column count")
     else:
         v = _sparse(_int_row(vec))
-    pivots = _pivots(a)
-    while v:
-        c = min(v)
-        entry = pivots.get(c)
-        if entry is None:
-            return False
-        prow = entry[0]
-        q, r = divmod(v[c], prow[c])
-        if r:
-            return False
-        _axpy(v, prow, -q)
-    return True
+    return not _reduce(v, _hermite(a))
 
 
 def kernel(a: IntMatrix) -> IntMatrix:
@@ -578,8 +587,8 @@ def is_direct_summand(span_gens: IntMatrix, ambient_rank: int) -> bool:
     """Whether the row span L is a saturated submodule (a direct summand) of
     Z^ambient_rank, i.e. whether Z^ambient_rank / L is torsion-free.
 
-    The echelon rows B of span_gens (memoized, shared with
-    `row_span_contains`) are r = rank independent rows spanning L.  A
+    The Hermite rows B of span_gens (the memo `row_span_hnf` and
+    `row_span_contains` read) are r = rank independent rows spanning L.  A
     transform-free echelon of the transpose brings it, by unimodular row
     operations U, to an r x r triangular block T over zero rows; then
     B @ U.T == [T.T | 0], so Z^n / L is isomorphic to Z^r / T.T Z^r plus
@@ -591,25 +600,8 @@ def is_direct_summand(span_gens: IntMatrix, ambient_rank: int) -> bool:
         raise DimensionMismatch(
             f"generators live in Z^{span_gens.cols}, ambient is Z^{ambient_rank}"
         )
-    echelon_rows = [row for row, _ in _pivots(span_gens).values()]
-    triangle, _ = sparse_echelon(_transpose_rows(echelon_rows, ambient_rank))
+    triangle, _ = sparse_echelon(_transpose_rows(_hermite(span_gens).values(), ambient_rank))
     return all(abs(row[c]) == 1 for c, (row, _) in triangle.items())
-
-
-def saturate(span_gens: IntMatrix, ambient_rank: int) -> IntMatrix:
-    """Hermite basis of the smallest direct summand containing the row span.
-
-    This is the Hermite basis of kernel(kernel(span_gens)): the vectors
-    orthogonal to every integer solution of span_gens @ x == 0 are exactly
-    the integral points of the rational row span, and an integer kernel is
-    always saturated.  Returns a matrix with rank(span_gens) rows and
-    ambient_rank columns.
-    """
-    if span_gens.cols != ambient_rank:
-        raise DimensionMismatch(
-            f"generators live in Z^{span_gens.cols}, ambient is Z^{ambient_rank}"
-        )
-    return row_span_hnf(kernel(kernel(span_gens)))
 
 
 def cokernel(a: IntMatrix) -> FgAbGroup:

@@ -11,7 +11,6 @@ free Lie basis, as the `freelie` module docstring sets out.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from . import intlinalg
@@ -78,27 +77,9 @@ class SurfaceAlgebra:
     # -- coordinates ---------------------------------------------------------
 
     def _reduce(self, d: int, v: dict) -> dict:
-        """Subtract unit-pivot ideal rows from the sparse v, in place, until
-        only quotient-basis columns survive.  Pivot columns are cleared in
-        increasing order; a row adds entries only right of its pivot, so no
-        cleared column comes back."""
-        pivot_rows = self.degree_data(d).pivot_rows
-        todo = [c for c in v if c in pivot_rows]
-        heapq.heapify(todo)
-        while todo:
-            c = heapq.heappop(todo)
-            q = v.get(c)
-            if not q:
-                continue  # a column pushed twice, or cancelled on the way
-            for j, x in pivot_rows[c].items():
-                new = v.get(j, 0) - q * x
-                if not new:
-                    del v[j]
-                    continue
-                if j not in v and j in pivot_rows:
-                    heapq.heappush(todo, j)
-                v[j] = new
-        return v
+        """Reduce the sparse v, in place, modulo the unit-pivot ideal rows of
+        degree d (`intlinalg._reduce`): only quotient-basis columns survive."""
+        return intlinalg._reduce(v, self.degree_data(d).pivot_rows)
 
 
 def build(g: int, K: int) -> SurfaceAlgebra:
@@ -109,12 +90,12 @@ def build(g: int, K: int) -> SurfaceAlgebra:
     brackets of the degree-d Hermite rows with each letter (the ideal is
     generated in degree 2, and degree-1 elements generate the free algebra,
     so these brackets span).  Quotient bases are the complements of the
-    Hermite pivot columns, and the build requires every pivot to be 1.  Unit
-    pivots make the complement columns a Z-basis of the quotient, so they
-    imply freeness; the converse fails (the span of (2, 3) in Z^2 is a
-    direct summand with pivot 2), so the Smith normal form check stays: it
-    tells a quotient with torsion apart from a free one whose Hermite basis
-    has a non-unit pivot.
+    Hermite pivot columns, and the build succeeds exactly when every pivot
+    is 1: unit pivots make the complement columns a Z-basis of the quotient,
+    so they imply freeness.  A quotient with torsion and a free one whose
+    Hermite basis has a non-unit pivot (the span of (2, 3) in Z^2) both raise
+    CertificateError; the Smith normal form only chooses the message, naming
+    the invariant factors when there is torsion.
     """
     if g < 2:
         # genus 1 collapses: the relation kills the only degree-2 bracket and
@@ -150,14 +131,12 @@ def build(g: int, K: int) -> SurfaceAlgebra:
                     raise CertificateError(
                         f"degree-{d} quotient is not free: invariant factors {factors}"
                     )
-            pivot_rows = {}
-            for row in ideal.sparse_rows:
-                c = min(row)
+            pivot_rows = intlinalg._hermite(ideal)  # the ideal's own memo
+            for c, row in pivot_rows.items():
                 if row[c] != 1:
                     raise CertificateError(
                         f"degree-{d} ideal basis has a non-unit pivot at column {c}"
                     )
-                pivot_rows[c] = row
             basis_cols = tuple(j for j in range(n) if j not in pivot_rows)
             degrees[d] = DegreeData(
                 pivot_rows=pivot_rows,

@@ -383,28 +383,29 @@ def h_projector(space: SymplecticSpace) -> IntMatrix:
 
 
 class RoundtripReport(NamedTuple):
-    """Outcome of the integral-points roundtrip on an invariant summand."""
+    """Outcome of the integral-points roundtrip on a submodule of the cube."""
 
     invariant: bool
     summand: bool
-    roundtrip_holds: bool | None
 
     def __bool__(self) -> bool:
-        return self.invariant and self.summand and bool(self.roundtrip_holds)
+        return self.invariant and self.summand
 
 
 def summand_correspondence_roundtrip(v: IntMatrix, g: int) -> RoundtripReport:
-    """Rationalize-then-saturate roundtrip on a submodule of the cube.
+    """Rationalize-then-saturate roundtrip on a submodule L of the cube.
 
     Checks that the rows are carried into their own span by every generator
-    action and span a direct summand; when both hold, the integral points of
-    the spanned rational subspace must reproduce the same summand.  Status is
-    reported rather than assumed so callers can probe non-examples.  Every
-    verdict depends only on the row span L, so all are taken on its Hermite
-    basis; invariance tests, with `intlinalg.row_span_contains`, only the
-    moved part of each basis row's image, a sparse combination of the
-    stored columns of M = A - I.  An empty moved part lies in every lattice,
-    so it is not tested.
+    action and span a direct summand.  The roundtrip asks that the integral
+    points of L's rational span reproduce L.  Those points are the x in Z^n
+    with a nonzero multiple in L, so they equal L exactly when Z^n / L has
+    no torsion, which is `summand`: it is the roundtrip's verdict, not a
+    step before it.  Status is reported rather than assumed
+    so callers can probe non-examples.  Every verdict depends only on L, so
+    all are taken on its Hermite basis; invariance tests, with
+    `intlinalg.row_span_contains`, only the moved part of each basis row's
+    image, a sparse combination of the stored columns of M = A - I.  An
+    empty moved part lies in every lattice, so it is not tested.
     """
     space = SymplecticSpace(g)
     n = len(space.triples())
@@ -419,9 +420,4 @@ def summand_correspondence_roundtrip(v: IntMatrix, g: int) -> RoundtripReport:
     h = intlinalg.row_span_hnf(v)
     moved_parts = (_times(r, moved) for _, moved in pairs for r in h.sparse_rows)
     invariant = all(not part or intlinalg.row_span_contains(h, part) for part in moved_parts)
-    summand = intlinalg.is_direct_summand(h, n)
-    if not (invariant and summand):
-        return RoundtripReport(invariant, summand, None)
-    integral_points = intlinalg.saturate(h, n)
-    roundtrip = intlinalg.same_row_span(integral_points, h)
-    return RoundtripReport(invariant, summand, roundtrip)
+    return RoundtripReport(invariant, intlinalg.is_direct_summand(h, n))

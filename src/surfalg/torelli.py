@@ -126,24 +126,19 @@ def q_map(p: BoolPoly) -> tuple[int, ...]:
 
 
 def gf2_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over Z/2 of 0/1 rows, via bitmask elimination."""
-    masks = []
+    """Rank over Z/2 of 0/1 rows, via bitmask elimination: each row's mask is
+    XORed down from its top bit against the basis mask leading there, and
+    joins the basis {leading bit: mask} if anything is left."""
+    basis: dict[int, int] = {}
     for row in rows:
-        m = 0
-        for j, x in enumerate(row):
-            if x & 1:
-                m |= 1 << j
-        masks.append(m)
-    pivots: list[int] = []
-    rank = 0
-    for m in masks:
-        for p in pivots:
-            m = min(m, m ^ p)
-        if m:
-            pivots.append(m)
-            pivots.sort(reverse=True)
-            rank += 1
-    return rank
+        m = sum(1 << j for j, x in enumerate(row) if x & 1)
+        while m:
+            top = m.bit_length() - 1
+            if top not in basis:
+                basis[top] = m
+                break
+            m ^= basis[top]
+    return len(basis)
 
 
 def q_surjective(g: int) -> bool:

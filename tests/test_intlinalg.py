@@ -1,9 +1,10 @@
-"""Normal forms, saturation, and summand certificates."""
+"""Normal forms, row-span membership, and summand certificates."""
 
 import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from itertools import combinations
 from math import gcd
 from pathlib import Path
@@ -24,8 +25,6 @@ from surfalg.intlinalg import (
     kernel,
     row_span_contains,
     row_span_hnf,
-    same_row_span,
-    saturate,
     snf,
     sparse_left_kernel,
     sparse_rank,
@@ -137,7 +136,7 @@ class TestSnf:
                 assert y == 0
         assert abs(det_bareiss(res.u.entries)) == 1
         assert abs(det_bareiss(res.v.entries)) == 1
-        assert res.rank == sparse_rank(a.sparse_rows)
+        assert len(res.nonzero_factors) == sparse_rank(a.sparse_rows)
 
     @settings(max_examples=80, deadline=None)
     @given(small_matrices)
@@ -307,22 +306,30 @@ class TestSummand:
             is_direct_summand(IntMatrix([[1, 0]]), 3)
 
 
+def oracle_saturate(a):
+    """The saturation the package once shipped: the Hermite basis of
+    kernel(kernel(a)), the integral points of a's rational row span."""
+    return row_span_hnf(kernel(kernel(a)))
+
+
 class TestSaturate:
+    """The saturation oracle, checked by minors, and the engine's verdicts on
+    its output."""
+
     def test_scalar_saturation(self):
-        assert saturate(IntMatrix([[2, 0]]), 2) == IntMatrix([[1, 0]])
-        assert saturate(IntMatrix([[2, 2]]), 2) == IntMatrix([[1, 1]])
+        assert oracle_saturate(IntMatrix([[2, 0]])) == IntMatrix([[1, 0]])
+        assert oracle_saturate(IntMatrix([[2, 2]])) == IntMatrix([[1, 1]])
 
     def test_full_rank_saturation(self):
-        got = saturate(IntMatrix([[1, 0], [0, 2]]), 2)
-        assert same_row_span(got, IntMatrix([[1, 0], [0, 1]]))
+        got = oracle_saturate(IntMatrix([[1, 0], [0, 2]]))
+        assert got == row_span_hnf(IntMatrix([[1, 0], [0, 1]]))
 
     @settings(max_examples=60, deadline=None)
     @given(small_matrices)
     def test_idempotent_and_summand(self, a):
-        s = saturate(a, a.cols)
+        s = oracle_saturate(a)
         assert is_direct_summand(s, a.cols)
-        again = saturate(s, a.cols)
-        assert same_row_span(s, again)
+        assert oracle_saturate(s) == s
         # rational span preserved: every original row is in the saturation,
         # and the ranks agree.
         for row in a.entries:
@@ -335,7 +342,7 @@ class TestSaturate:
         # checked by minors alone: s has rank(a) rows, adding the rows of a
         # keeps the rank, and the maximal minors of s have gcd 1, so s is a
         # basis of a direct summand that contains every row of a
-        s = saturate(a, a.cols)
+        s = oracle_saturate(a)
         r = oracle_rank(a.entries)
         assert s.rows == r
         assert oracle_rank(s.entries + a.entries) == r
@@ -425,7 +432,7 @@ def test_no_numpy_import():
         "from surfalg import intlinalg\n"
         "a = intlinalg.IntMatrix([[2, 4, 6], [1, 0, 3]])\n"
         "intlinalg.snf(a)\n"
-        "intlinalg.saturate(a, 3)\n"
+        "intlinalg.is_direct_summand(a, 3)\n"
         "assert 'numpy' not in sys.modules\n"
     )
     proc = run_python("-c", script)
@@ -435,7 +442,6 @@ def test_no_numpy_import():
 def test_hnf_is_canonical():
     a = IntMatrix([[2, 4, 6], [1, 2, 3], [0, 0, 5]])
     b = IntMatrix([[1, 2, 3], [0, 0, 5], [3, 6, 14]])
-    assert same_row_span(a, b)
     assert row_span_hnf(a) == row_span_hnf(b)
 
 
@@ -725,12 +731,107 @@ class TestSummandWithoutSmith:
         assert is_direct_summand(IntMatrix([[3, 0, 0], [0, 0, 0], [6, 0, 1]]), 3) is False
 
 
+def oracle_contains(a, vec):
+    """The membership loop `row_span_contains` ran before the Hermite memo:
+    vec, dense or a dict, is reduced against a fresh transform-free echelon
+    of a from its leftmost column, and fails at a leading column with no
+    pivot or at a leading entry that is no multiple of the pivot."""
+    pivots, _ = intlinalg.sparse_echelon(a.sparse_rows)
+    v = {c: x for c, x in (vec.items() if isinstance(vec, dict) else enumerate(vec)) if x}
+    while v:
+        c = min(v)
+        if c not in pivots:
+            return False
+        prow = pivots[c][0]
+        q, r = divmod(v[c], prow[c])
+        if r:
+            return False
+        intlinalg._axpy(v, prow, -q)
+    return True
+
+
+def oracle_hermite(rows):
+    """The Hermite rows `row_span_hnf` built before the memo, by pivot column."""
+    pivots, _ = intlinalg.sparse_echelon(rows)
+    h, _ = intlinalg._hermite_rows(pivots)
+    return {min(r): r for r in h}
+
+
+def _probe(a, kind, coeffs, noise):
+    """A combination of a's rows ("member"), the same pushed off by noise
+    ("perturbed"), or noise alone ("random")."""
+    if kind == "random":
+        return list(noise[: a.cols])
+    vec = [sum(c * r[j] for c, r in zip(coeffs, a.entries)) for j in range(a.cols)]
+    return [x + e for x, e in zip(vec, noise)] if kind == "perturbed" else vec
+
+
+# (kind, row coefficients, noise, given as a dict) for up to 7 rows and 6 columns
+probe_cases = st.lists(
+    st.tuples(
+        st.sampled_from(["member", "perturbed", "random"]),
+        st.lists(st.integers(-3, 3), min_size=7, max_size=7),
+        st.lists(st.integers(-2, 2), min_size=6, max_size=6),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestHermiteMemoMatchesEchelonLoop:
+    """The Hermite memo, `_reduce` and `is_direct_summand` side by side with
+    the echelon loop and the saturation they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(summand_cases, probe_cases)
+    def test_membership_verdicts_agree(self, case, probes):
+        a = _summand_matrix(case)
+        for kind, coeffs, noise, as_dict in probes:
+            vec = _probe(a, kind, coeffs, noise)
+            if as_dict:
+                vec = {j: x for j, x in enumerate(vec) if x}
+            assert row_span_contains(a, vec) == oracle_contains(a, vec), (a, vec)
+
+    @settings(max_examples=300, deadline=None)
+    @given(summand_cases)
+    def test_hermite_rows_and_summand_agree(self, case):
+        a = _summand_matrix(case)
+        h = row_span_hnf(a)
+        assert {min(r): r for r in h.sparse_rows} == oracle_hermite(a.sparse_rows)
+        assert is_direct_summand(a, a.cols) == (row_span_hnf(oracle_saturate(a)) == h)
+
+    def test_both_verdicts_on_random_matrices(self):
+        rng = random.Random(32)
+        seen = Counter()
+        for _ in range(300):
+            c = rng.randint(1, 6)
+            rows = [[rng.randint(-4, 4) for _ in range(c)] for _ in range(rng.randint(1, 5))]
+            if rng.random() < 0.4:
+                rows.append([2 * x - y for x, y in zip(rows[0], rows[-1])])
+            if rng.random() < 0.4:
+                rows[0] = [rng.choice((-3, 2, 3)) * x for x in rows[0]]
+            a = IntMatrix(rows + [[0] * c] * rng.randint(0, 1))
+            summand = is_direct_summand(a, c)
+            assert summand == (row_span_hnf(oracle_saturate(a)) == row_span_hnf(a))
+            seen["summand", summand] += 1
+            for kind in ("member", "perturbed", "random"):
+                coeffs = [rng.randint(-3, 3) for _ in range(7)]
+                noise = [rng.randint(-2, 2) for _ in range(6)]
+                vec = _probe(a, kind, coeffs, noise)
+                verdict = oracle_contains(a, vec)
+                assert row_span_contains(a, vec) == verdict
+                assert row_span_contains(a, {j: x for j, x in enumerate(vec) if x}) == verdict
+                seen["contains", verdict] += 1
+        assert min(seen.values()) >= 50, seen
+
+
 def _fresh_sparse(a):
     return tuple({j: x for j, x in enumerate(r) if x} for r in a.entries)
 
 
 class TestMemoizedViews:
-    """The stored sparse rows and the cached echelon survive every operation."""
+    """The stored sparse rows and the cached Hermite basis survive every operation."""
 
     @staticmethod
     def _ops(a):
@@ -744,9 +845,7 @@ class TestMemoizedViews:
             "snf": lambda: snf(a).d,
             "kernel": lambda: kernel(a),
             "left_kernel": lambda: sparse_left_kernel(a.sparse_rows),
-            "saturate": lambda: saturate(a, a.cols),
             "cokernel": lambda: cokernel(a),
-            "same_row_span": lambda: same_row_span(a, a),
             "left_product": lambda: a @ b,
             "right_product": lambda: b @ a,
             "transpose": lambda: a.transpose().transpose(),
@@ -761,19 +860,22 @@ class TestMemoizedViews:
         for name, op in self._ops(a).items():
             first = op()
             assert list(a.sparse_rows) == stored, name
-            pivots = intlinalg._pivots(a)
-            expected, _ = intlinalg.sparse_echelon(fresh)
-            assert pivots == expected, name
+            assert intlinalg._hermite(a) == oracle_hermite(fresh), name
             assert op() == first, name
         assert _fresh_sparse(a) == fresh  # the entries themselves
 
     def test_memos_are_filled_once(self):
         a = IntMatrix([[2, 4, 0], [0, 3, 6], [2, 7, 6]])
         rows = a.sparse_rows
-        pivots = intlinalg._pivots(a)
+        hermite = intlinalg._hermite(a)
         is_direct_summand(a, 3), row_span_contains(a, [0, 3, 6]), a @ a, a.entries
         assert a.sparse_rows is rows
-        assert intlinalg._pivots(a) is pivots
+        assert intlinalg._hermite(a) is hermite
+        # a Hermite basis is its own: row_span_hnf hands its rows and memo on
+        h = row_span_hnf(a)
+        assert h.sparse_rows == tuple(hermite.values())
+        assert intlinalg._hermite(h) is hermite
+        assert row_span_hnf(h) == h
 
 
 class TestNonIntegralInput:

@@ -1,5 +1,6 @@
 """Graded quotient ranks, freeness, and center certification."""
 
+import heapq
 import random
 
 import pytest
@@ -315,6 +316,29 @@ def dense_reduce(ideal_rows, vec):
     return v, pivots
 
 
+def unit_pivot_reduce(pivot_rows, v):
+    """The heap loop `SurfaceAlgebra._reduce` ran before the reduction moved
+    into the integer engine: unit-pivot rows subtracted v[c] times, pivot
+    columns cleared in increasing order."""
+    v = dict(v)
+    todo = [c for c in v if c in pivot_rows]
+    heapq.heapify(todo)
+    while todo:
+        c = heapq.heappop(todo)
+        q = v.get(c)
+        if not q:
+            continue
+        for j, x in pivot_rows[c].items():
+            new = v.get(j, 0) - q * x
+            if not new:
+                del v[j]
+                continue
+            if j not in v and j in pivot_rows:
+                heapq.heappush(todo, j)
+            v[j] = new
+    return v
+
+
 def sparse_reduce(alg, d, vec):
     """SurfaceAlgebra._reduce on a dense vector, read back dense."""
     return list(intlinalg._dense_row(alg._reduce(d, intlinalg._sparse(vec)), len(vec)))
@@ -392,6 +416,20 @@ class TestSparseReductionMatchesDenseLoop:
             rank=len(basis),
         )})
         assert sparse_reduce(alg, 1, vec) == dense_reduce(rows, vec)[0]
+
+    @pytest.mark.parametrize("g, K", [(2, 6), (3, 5)])
+    def test_every_bracket_row_matches_the_unit_pivot_loop(self, g, K):
+        # the brackets of every basis word and of every ideal row with every
+        # letter, reduced in the degree above
+        alg = build(g, K)
+        fl = alg.free
+        for d in range(1, K):
+            pivot_rows = alg.degree_data(d + 1).pivot_rows
+            rows = [{c: 1} for c in range(len(fl.basis_words(d)))] + list(alg.degree_data(d).pivot_rows.values())
+            for r in rows:
+                for i in range(2 * g):
+                    v = _bracket_letter(fl, d, r, i)
+                    assert alg._reduce(d + 1, dict(v)) == unit_pivot_reduce(pivot_rows, v)
 
     def test_refilled_pivot_column(self):
         # clearing column 0 puts -2 into pivot column 1, which must be

@@ -196,6 +196,46 @@ def test_gf2_rank():
     assert gf2_rank([]) == 0
 
 
+def sorted_pivot_rank(rows):
+    """The elimination gf2_rank ran before its leading-bit basis: the pivot
+    masks kept sorted, largest first, and each row scanned down them with
+    min(m, m ^ p)."""
+    pivots = []
+    for row in rows:
+        m = sum(1 << j for j, x in enumerate(row) if x & 1)
+        for p in pivots:
+            m = min(m, m ^ p)
+        if m:
+            pivots.append(m)
+            pivots.sort(reverse=True)
+    return len(pivots)
+
+
+@st.composite
+def gf2_rows(draw):
+    """Rows up to 70 bits wide with zero, repeated and dependent (XOR of two
+    earlier) rows mixed in, and entries of any parity."""
+    width = draw(st.integers(1, 70))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["random", "zero", "repeat", "sum"]), max_size=40)):
+        if kind == "zero" or (kind != "random" and not rows):
+            rows.append([0] * width)
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "sum":
+            r, s = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([x + y for x, y in zip(r, s)])
+        else:
+            rows.append(draw(st.lists(st.integers(-3, 3), min_size=width, max_size=width)))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(gf2_rows())
+def test_gf2_rank_matches_the_sorted_pivot_loop(rows):
+    assert gf2_rank(rows) == sorted_pivot_rank(rows)
+
+
 def test_non_integral_variables_refused():
     with pytest.raises(ValueError, match="not an integer"):
         BoolPoly(2, [(0.5, 1)])
