@@ -14,7 +14,7 @@ freelie     free Lie algebra with the Lyndon basis and bracket rewriting
 surface     the one-relator graded quotient: ranks, bases, center certificates
 enveloping  the associative quotient: confluent reduction, Hilbert series
 nilpotent   group words, truncated group-ring expansions, quotient centers
-symplectic  generator families, exterior-cube action, Johnson image, commutant
+symplectic  Chevalley generators, exterior-cube action, Johnson image, commutant
 torelli     boolean polynomials and the abelianization pullbacks
 cli         batch verification runner with JSON/text reports
 """

@@ -11,11 +11,22 @@ variables of a `torelli` monomial index the same basis, so a cubic monomial
 and its wedge share one triple.
 
 The integral symplectic group acts on the third exterior power; this module
-builds the five standard generator families, the induced exterior-cube
-matrices, the contraction map realizing the splitting off of H, the image of
-the point-push generators under the first Johnson map, and the commutant
-certificate that pins down the unique 2g-dimensional invariant subspace for
-every g >= 3, solved on the weight blocks of the action.
+reads it through the 2g Chevalley generators I + N of `sp_generators` and
+builds their cube matrices, the contraction splitting off H, the Johnson
+image of the point-push generators, and the commutant certificate that pins
+down the unique 2g-dimensional invariant subspace for every g >= 3.
+
+Why 2g generators suffice.  As N^2 = 0, A = I + N acts on the cube as
+exp(D_N), D_N the derivation x^y^z -> Nx^y^z + x^Ny^z + x^y^Nz; D_N^4 = 0, so
+D_N = log(I + M) and M = lambda3(A) - I are polynomials in each other, and a
+matrix commutes with A exactly when it commutes with D_N, and then with D of
+the Lie algebra the N generate: sp(2g, Q) by `certify_generators` (Serre's
+theorem; Humphreys, GTM 9, section 18), which holds the N' of every elementary
+generator I + N' (upper-ii, lower-ii, upper-sym, lower-sym, unit-shear).
+Equivariance, c M = N c for the contraction c, extends the same way, and so
+does invariance: M L in L gives D_N' L_Q in L_Q, so A' L lies in L_Q meet Z^n,
+which is L when L is a direct summand (saturate).  The 2g matrices I + N
+generate Sp(2g, Z) (Steinberg, Lectures on Chevalley Groups, 1967).
 """
 
 from __future__ import annotations
@@ -28,12 +39,12 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 from . import intlinalg
-from .errors import ResourceLimitExceeded
+from .errors import CertificateError, ResourceLimitExceeded
 from .intlinalg import IntMatrix
 
 Triple = tuple[int, int, int]
 
-_TRIPLE_CAP = 2024  # C(24, 3): genus 12 is the largest cube built
+_TRIPLE_CAP = 9880  # C(40, 3): genus 20, the last whose cube suites fit 60 MB, ~3 s (57 MB, 2.5-3 s; 21: 64 MB)
 
 
 @lru_cache(maxsize=None)
@@ -91,86 +102,86 @@ def wedge3(i: int, j: int, k: int) -> tuple[tuple[int, int, int], int] | None:
     return (a, b, c), sign
 
 
-@dataclass(frozen=True)
-class SpGenerator:
-    """One lambda=1 instance of the five standard generator families.
+def sp_generators(g: int) -> tuple[IntMatrix, ...]:
+    """The 2g Chevalley generators I + N, for handles i = 1, ..., g - 1:
+    e_i = I + E(a_i, a_(i+1)) - E(b_(i+1), b_i), unit-shear(i, i+1);
+    f_i = I + E(a_(i+1), a_i) - E(b_i, b_(i+1)), unit-shear(i+1, i);
+    then I + E(a_g, b_g) and I + E(b_g, a_g), upper-ii and lower-ii at the last handle."""
+    n = 2 * g
 
-    family is one of upper-ii, lower-ii, upper-sym, lower-sym, unit-shear;
-    i, j are the 0-based handle indices that instantiate it (handle i has
-    a at basis index 2i and b at 2i + 1).  The matrix is checked against the
-    form at construction.
-    """
+    def gen(*entries):  # I plus x at each (row, col, x), none on the diagonal
+        return IntMatrix._of(({r: 1, **{c: x for q, c, x in entries if q == r}} for r in range(n)), n)
 
-    space: SymplecticSpace
-    family: str
-    i: int
-    j: int
-    matrix: IntMatrix
-
-    def __post_init__(self):
-        j = self.space.form_matrix()
-        if self.matrix.transpose() @ j @ self.matrix != j:
-            raise ValueError(f"{self.family}({self.i},{self.j}) does not preserve the form")
+    adjacent = ((i, j) for i in range(g) for j in (i - 1, i + 1) if 0 <= j < g)
+    shears = (gen((2 * i, 2 * j, 1), (2 * j + 1, 2 * i + 1, -1)) for i, j in adjacent)
+    return (*shears, gen((n - 2, n - 1, 1)), gen((n - 1, n - 2, 1)))
 
 
-def sp_generators(g: int) -> tuple[SpGenerator, ...]:
-    """All five lambda=1 families over their valid index pairs.
+def certify_generators(g: int, gens: Sequence[IntMatrix]) -> None:
+    """Raise CertificateError unless each gen is I + N with N^2 = 0 and J N
+    symmetric (N^T J + J N = 0, as J^T = -J), so (I + N)^T J (I + N) = J -
+    J N^2 = J, and the N generate sp(2g, Q): each round brackets the last
+    round's new elements with every N, and the span must reach g(2g + 1)."""
+    n = 2 * g
+    j = SymplecticSpace(g).form_matrix()
+    ns = []
+    for k, gen in enumerate(gens):
+        moved = _moved_columns(gen)  # the nonzero rows of N = gen - I
+        nm = IntMatrix._of((moved.get(r, {}) for r in range(n)), n)
+        if not (nm @ nm).is_zero() or j @ nm != (j @ nm).transpose():
+            raise CertificateError(f"generator {k} is not I + N with N^2 = 0 and N in sp({n})")
+        ns.append({(r, c): x for r, row in moved.items() for c, x in row.items()})
+    echelon: dict = {}
+    new = ns
+    while new := [y for y in new if _extends(echelon, y)]:  # each round keeps what leaves the span
+        new = [_bracket(a, x) for x in new for a in ns]
+    if len(echelon) != g * (2 * g + 1):
+        raise CertificateError(f"brackets of the N span {len(echelon)} of the {g * (2 * g + 1)} dimensions of sp({n})")
 
-    Counts per genus: 2g from the two diagonal families, 2*C(g,2) from the
-    symmetric off-diagonal families, g(g-1) from the shear family
-    (g=1: 2, g=2: 8, g=3: 18).  Each generator is checked against the form
-    when it is built, and is the identity plus one or two entries E(row, col):
-    upper-ii    I + E(a_i, b_i)
-    lower-ii    I + E(b_i, a_i)
-    lower-sym   I + E(b_i, a_j) + E(b_j, a_i), i < j
-    upper-sym   I + E(a_i, b_j) + E(a_j, b_i), i < j
-    unit-shear  I + E(a_i, a_j) - E(b_j, b_i), i != j
-    """
-    space = SymplecticSpace(g)
-    n = space.dim
 
-    def gen(family, i, j, entries):
-        rows = [{r: 1} for r in range(n)]
-        for (r, c), x in entries.items():
-            rows[r][c] = x
-        return SpGenerator(space, family, i, j, IntMatrix._of(rows, n))
+def _bracket(a: dict, b: dict) -> dict:
+    """AB - BA for matrices given by their entries {(row, col): x}."""
+    out: dict = {}
+    for (r, s), x in a.items():
+        for (t, c), y in b.items():
+            if s == t:
+                intlinalg._axpy(out, {(r, c): x * y}, 1)
+            if c == r:
+                intlinalg._axpy(out, {(t, s): x * y}, -1)
+    return out
 
-    pairs = [(i, j) for i in range(g) for j in range(i + 1, g)]
-    return (
-        *(gen("upper-ii", i, i, {(2 * i, 2 * i + 1): 1}) for i in range(g)),
-        *(gen("lower-ii", i, i, {(2 * i + 1, 2 * i): 1}) for i in range(g)),
-        *(gen("lower-sym", i, j, {(2 * i + 1, 2 * j): 1, (2 * j + 1, 2 * i): 1}) for i, j in pairs),
-        *(gen("upper-sym", i, j, {(2 * i, 2 * j + 1): 1, (2 * j, 2 * i + 1): 1}) for i, j in pairs),
-        *(
-            gen("unit-shear", i, j, {(2 * i, 2 * j): 1, (2 * j + 1, 2 * i + 1): -1})
-            for i in range(g)
-            for j in range(g)
-            if i != j
-        ),
-    )
+
+def _extends(echelon: dict, v: dict) -> bool:
+    """Whether v leaves the span over Q of the rows {leading key: row}; if so, its remainder joins them."""
+    while v and (row := echelon.get(c := min(v))) is not None:
+        v = intlinalg._combine(v, row[c], row, -v[c])
+    if v:
+        echelon[c] = v
+    return bool(v)
 
 
 def check_cube_cap(g: int) -> None:
-    """Refuse, with ResourceLimitExceeded, a cube of more than 2,024 triples
-    (genus 12): every cube consumer reads this before it builds anything."""
+    """Refuse, with ResourceLimitExceeded, a cube of more than 9,880 triples
+    (genus 20): every cube consumer reads this before it builds anything."""
     n = comb(2 * g, 3)
     if n > _TRIPLE_CAP:
         raise ResourceLimitExceeded(f"exterior cube of {n} triples at genus {g} is beyond desk scale")
 
 
 @lru_cache(maxsize=None)
-def generator_actions(g: int) -> tuple[tuple[SpGenerator, dict], ...]:
-    """Pairs (gen, M) over `sp_generators(g)`, M = lambda3_action(gen) - I.
+def generator_actions(g: int) -> tuple[tuple[IntMatrix, dict], ...]:
+    """Pairs (gen, M) over `sp_generators(g)`, certified first, M = lambda3_action(gen) - I.
 
     M is the only form of a cube action the package keeps: its nonzero
     columns {c: A e_c - e_c}, where A is the full action and a basis vector
     that A fixes has no entry.  Built once per genus, one generator at a
-    time: the rows of lambda3_action(S.T), S = gen.matrix, are the columns
+    time: the rows of lambda3_action(S.T), S the generator, are the columns
     of A, so M is read off them with no transpose of the cube, and each
     full action is dropped once its M is taken.
     """
     check_cube_cap(g)
-    return tuple((gen, _moved_columns(lambda3_action(gen.matrix.transpose()))) for gen in sp_generators(g))
+    certify_generators(g, gens := sp_generators(g))
+    return tuple((gen, _moved_columns(lambda3_action(gen.transpose()))) for gen in gens)
 
 
 def _moved_columns(at: IntMatrix) -> dict:
@@ -201,7 +212,7 @@ def _times(r: dict, rows: dict) -> dict:
     return intlinalg._combination({k: x for k, x in r.items() if k in rows}, rows)
 
 
-def lambda3_action(m: IntMatrix | SpGenerator) -> IntMatrix:
+def lambda3_action(m: IntMatrix) -> IntMatrix:
     """Induced matrix on the third exterior power, built from m's sparse rows.
 
     Row (p<q<r) is (e_p m) ^ (e_q m) ^ (e_r m), the wedge of rows p, q, r of
@@ -212,8 +223,6 @@ def lambda3_action(m: IntMatrix | SpGenerator) -> IntMatrix:
     identity.  A row costs the product of the three row supports, a few
     terms for a generator.
     """
-    if isinstance(m, SpGenerator):
-        m = m.matrix
     n = m.rows
     if n != m.cols:
         raise ValueError("need a square matrix")
@@ -246,14 +255,14 @@ def contraction_matrix(space: SymplecticSpace) -> IntMatrix:
 def contraction_equivariance(g: int) -> tuple[int, int]:
     """The number of generators of `generator_actions(g)`, and how many of
     them the contraction c intertwines: c M == N c, with M the stored action
-    and N = S - I for S = gen.matrix.  The identity terms cancel, so this is
+    and N = S - I for the generator S.  The identity terms cancel, so this is
     c A == S c, which gives c(Av) == S(cv) for every vector v."""
     pairs = generator_actions(g)
     c = contraction_matrix(SymplecticSpace(g)).sparse_rows
     ok = 0
     for gen, moved in pairs:
         m_rows = _rows_of(moved)
-        n_rows = _moved_columns(gen.matrix)  # row i of N = S - I is column i of S.T - I
+        n_rows = _moved_columns(gen)  # row i of N = S - I is column i of S.T - I
         ok += all(_times(row, m_rows) == intlinalg._combination(n_rows.get(i, {}), c) for i, row in enumerate(c))
     return len(pairs), ok
 
@@ -351,19 +360,14 @@ def commutant_dimension(g: int) -> int:
     dimensions (2g and C(2g,3) - 2g), hence exactly one invariant subspace of
     dimension 2g: any other would force extra commuting projections.
 
-    The commutant is solved on the weight blocks only.  Every generator is
-    A = I + N with N^2 = 0 on H, so its cube action is exp(D_N), D_N the
-    derivation N induces on the cube; D_N^4 = 0, so D_N = log(I + M) is a
-    rational polynomial in M = lambda3(A) - I.  An X commuting with every
-    lambda3(A) thus commutes with every D_N, and with the bracket of the
-    upper-ii and lower-ii derivations at slot m.  That bracket is diagonal:
-    it multiplies the triple t by slot m of its weight, where a_m counts +1
-    and b_m counts -1.  So X maps each weight space into itself, and the
-    commutant is the common integer left kernel of the maps X -> M X - X M,
-    which equal X -> A X - X A, over the entries E_kc with weight(k) =
-    weight(c) (`_weight_block_entries`): 32 of 400 entries at genus 3, 2580 of
-    1299600 at genus 10.  Each restriction leaves a small basis, so the
-    later maps act on few vectors.
+    It is solved on the weight blocks only.  A matrix X in it commutes with
+    every D_N (the module docstring), so with the diagonal D_h of the Cartan
+    elements h = [e_i, f_i], i < g, and [E(a_g, b_g), E(b_g, a_g)]: they
+    multiply a triple by slot i minus slot i + 1 of its weight, and by slot g
+    (slot m counts +1 for a_m, -1 for b_m).  These separate the weights, so
+    the commutant is the common integer left kernel of the maps X -> M X - X M
+    (= A X - X A) over the entries E_kc with weight(k) = weight(c)
+    (`_weight_block_entries`): 32 of 400 at genus 3, 2580 of 1299600 at genus 10.
     """
     if g < 3:
         raise ValueError("the uniqueness certificate is stated for genus >= 3")
@@ -396,26 +400,21 @@ def summand_correspondence_roundtrip(v: IntMatrix, g: int) -> RoundtripReport:
     """Rationalize-then-saturate roundtrip on a submodule L of the cube.
 
     Checks that the rows are carried into their own span by every generator
-    action and span a direct summand.  The roundtrip asks that the integral
-    points of L's rational span reproduce L.  Those points are the x in Z^n
-    with a nonzero multiple in L, so they equal L exactly when Z^n / L has
-    no torsion, which is `summand`: it is the roundtrip's verdict, not a
-    step before it.  Status is reported rather than assumed
-    so callers can probe non-examples.  Every verdict depends only on L, so
-    all are taken on its Hermite basis; invariance tests, with
-    `intlinalg.row_span_contains`, only the moved part of each basis row's
-    image, a sparse combination of the stored columns of M = A - I.  An
-    empty moved part lies in every lattice, so it is not tested.
+    action and span a direct summand; on a non-summand, `invariant` speaks
+    for Sp(2g, Z) by Steinberg's generation theorem (the module docstring).
+    The integral points of L's rational span, the x in Z^n with a nonzero
+    multiple in L, reproduce L exactly when Z^n / L has no torsion, which is
+    `summand`: the roundtrip's verdict, reported rather than assumed so
+    callers can probe non-examples.  Every verdict is taken on L's Hermite
+    basis, sparser and smaller than v's echelon rows.  A generator with
+    action A moves a row r to r @ A.T, which lies in L iff its moved part
+    r @ M.T does, M = A - I, a combination of the columns that
+    `generator_actions` stores; an empty one lies in every lattice.
     """
     space = SymplecticSpace(g)
     n = len(space.triples())
     if v.cols != n:
         raise intlinalg.DimensionMismatch(f"rows must have {n} coordinates")
-    # The Hermite basis h of L is reduced above its pivots, so its rows are
-    # sparser and smaller than v's own echelon rows.  A generator with
-    # action A moves a row r of h to r @ A.T, which lies in L iff its moved
-    # part r @ M.T does, M = A - I; the nonzero rows of M.T are the
-    # columns that `generator_actions` stores.
     pairs = generator_actions(g)
     h = intlinalg.row_span_hnf(v)
     moved_parts = (_times(r, moved) for _, moved in pairs for r in h.sparse_rows)

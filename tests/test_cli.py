@@ -11,7 +11,7 @@ import pytest
 
 from surfalg import cli, enveloping, intlinalg, nilpotent, surface, symplectic, torelli
 from surfalg.intlinalg import IntMatrix
-from surfalg.symplectic import SpGenerator, SymplecticSpace, contraction_matrix, lambda3_action, sp_generators
+from surfalg.symplectic import SymplecticSpace, contraction_matrix, lambda3_action, sp_generators
 from surfalg.cli import (
     ConfigError,
     NonDivisibleError,
@@ -193,14 +193,14 @@ class TestRun:
         ]
 
     def test_cube_entries_skipped_past_the_cap_before_any_build(self, monkeypatch):
-        # genus 12 is within the cap, genus 13 is not: no generator and no
+        # genus 20 is within the cap, genus 21 is not: no generator and no
         # cube action is built, and only the contraction's dimensions run
-        assert comb(24, 3) <= symplectic._TRIPLE_CAP < comb(26, 3)
+        assert comb(40, 3) <= symplectic._TRIPLE_CAP < comb(42, 3)
         built = []
         monkeypatch.setattr(symplectic, "sp_generators", lambda *args: built.append(args))
         monkeypatch.setattr(symplectic, "lambda3_action", lambda *args: built.append(args))
         monkeypatch.setattr(cli, "johnson_image", lambda *args: built.append(args))
-        rep = run(RunConfig(genus=13, max_degree=2, suites=("sp-decomposition", "lemma-summand")))
+        rep = run(RunConfig(genus=21, max_degree=2, suites=("sp-decomposition", "lemma-summand")))
         assert {c.name: c.status for c in rep.checks} == {
             "cube-decomposition-dims": "pass",
             "contraction-equivariance": "skipped",
@@ -495,21 +495,19 @@ def test_equivariance_trials_count_what_dense_products_count(monkeypatch):
     c = contraction_matrix(SymplecticSpace(g))
     units = [IntMatrix([[int(i == j) for i in range(c.cols)]]).transpose() for j in range(c.cols)]
     dense_ok = sum(
-        all(c @ (action @ v) == gen.matrix @ (c @ v) for v in units) for gen, action in fulls
+        all(c @ (action @ v) == gen @ (c @ v) for v in units) for gen, action in fulls
     )
-    assert dense_ok == sum(c @ action == gen.matrix @ c for gen, action in fulls) == len(pairs) // 2
+    assert dense_ok == sum(c @ action == gen @ c for gen, action in fulls) == len(pairs) // 2
     assert check.status == "fail"
     assert check.expected == {"generators": len(pairs)}
     assert check.actual == {"generators": dense_ok}
 
 
 def test_a_form_breaking_generator_fails_the_suite(monkeypatch):
-    # SpGenerator checks M.T J M == J when it is built.  The zero matrix
-    # breaks the form yet commutes with the contraction, so that check alone
-    # stands between it and a passing report.
+    # The zero matrix breaks the form yet commutes with the contraction, so
+    # the generator certificate alone stands between it and a passing report.
     def forged(g):
-        space = SymplecticSpace(g)
-        return (SpGenerator(space, "upper-ii", 0, 0, _zeros(2 * g, 2 * g)),)
+        return (_zeros(2 * g, 2 * g),)
 
     monkeypatch.setattr(symplectic, "sp_generators", forged)
     symplectic.generator_actions.cache_clear()
@@ -524,8 +522,55 @@ def test_a_form_breaking_generator_fails_the_suite(monkeypatch):
         "commutant-dimension": "fail",
     }
     for check in rep.checks[1:]:
-        assert check.actual == "error: ValueError: upper-ii(0,0) does not preserve the form"
+        assert check.actual == "error: CertificateError: generator 0 is not I + N with N^2 = 0 and N in sp(6)"
     assert not rep.passed
+
+
+def _wrong_sign(g):
+    # e_1 with +E(b_2, b_1) in place of -E(b_2, b_1)
+    gens = list(sp_generators(g))
+    rows = [dict(row) for row in gens[0].sparse_rows]
+    rows[3][1] = 1
+    gens[0] = IntMatrix._of(rows, 2 * g)
+    return tuple(gens)
+
+
+def _swapped_columns(m):
+    # two columns of the cube action swapped: the store reads the rows of
+    # the action of S^T as the columns of the action of S
+    rows = list(lambda3_action(m).sparse_rows)
+    rows[0], rows[1] = rows[1], rows[0]
+    return IntMatrix._of(rows, len(rows))
+
+
+_CUBE_ENTRIES = ("contraction-equivariance", "commutant-dimension", "johnson-summand-roundtrip")
+
+# program mutants of the re-routed cube entries: the patched attribute of
+# symplectic, its forged value, and the entries the mutant must fail
+_MUTANTS = [
+    pytest.param("sp_generators", _wrong_sign, _CUBE_ENTRIES, id="wrong-sign-in-one-chevalley-n"),
+    pytest.param("sp_generators", lambda g: sp_generators(g)[1:], _CUBE_ENTRIES, id="one-generator-dropped"),
+    pytest.param("sp_generators", lambda g: (_zeros(2 * g, 2 * g),), _CUBE_ENTRIES, id="zero-generator"),
+    pytest.param("lambda3_action", _swapped_columns, _CUBE_ENTRIES, id="forged-cube-action"),
+]
+
+
+@pytest.mark.parametrize("attr, forged, failing", _MUTANTS)
+def test_a_program_mutant_fails_its_entries(attr, forged, failing, monkeypatch, tmp_path):
+    # the mutant fails exactly its entries; every other entry passes and the
+    # report is written
+    out = tmp_path / "report.json"
+    monkeypatch.setattr(symplectic, attr, forged)
+    symplectic.generator_actions.cache_clear()
+    try:
+        code = main(["--genus", "3", "--max-degree", "3", "--out", str(out)])
+    finally:
+        symplectic.generator_actions.cache_clear()
+    assert code == 1
+    checks = json.loads(out.read_text())["checks"]
+    assert len(checks) == 20
+    assert {c["name"] for c in checks if c["status"] != "pass"} == set(failing)
+    assert {c["status"] for c in checks if c["name"] in failing} == {"fail"}
 
 
 def test_optimized_end_to_end_run_passes():

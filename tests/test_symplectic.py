@@ -1,6 +1,8 @@
 """Symplectic generators, exterior-cube action, contraction, and the commutant."""
 
 import random
+import re
+from contextlib import contextmanager
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -11,15 +13,17 @@ from hypothesis import strategies as st
 
 from surfalg import intlinalg, symplectic
 from surfalg.enveloping import letter_name
+from surfalg.errors import CertificateError
 from surfalg.intlinalg import DimensionMismatch, IntMatrix
 from surfalg.symplectic import (
     RoundtripReport,
-    SpGenerator,
     SymplecticSpace,
     _commutator_images,
     _weight_block_entries,
+    certify_generators,
     commutant_dimension,
     contraction,
+    contraction_equivariance,
     contraction_matrix,
     generator_actions,
     h_projector,
@@ -97,22 +101,17 @@ def test_letter_order_convention_by_hand_at_genus_two():
     # theta^a1, theta^b1, theta^a2, theta^b2, as {triple: sign}
     rows = [{space.triples()[c]: x for c, x in row.items()} for row in johnson_image(2).sparse_rows]
     assert rows == [{(0, 2, 3): 1}, {(1, 2, 3): 1}, {(0, 1, 2): 1}, {(0, 1, 3): 1}]
-    # one generator per family, as I plus its entries {(row, col): x}
-    gens = {}
-    for gen in sp_generators(2):
-        gens.setdefault(gen.family, gen)
-    want = {
-        "upper-ii": {(0, 1): 1},  # b1 -> b1 + a1
-        "lower-ii": {(1, 0): 1},  # a1 -> a1 + b1
-        "lower-sym": {(1, 2): 1, (3, 0): 1},  # a1 -> a1 + b2, a2 -> a2 + b1
-        "upper-sym": {(0, 3): 1, (2, 1): 1},  # b1 -> b1 + a2, b2 -> b2 + a1
-        "unit-shear": {(0, 2): 1, (3, 1): -1},  # a2 -> a2 + a1, b1 -> b1 - b2
-    }
-    for family, entries in want.items():
-        gen = gens[family]
-        assert (gen.i, gen.j) == (0, 0 if family.endswith("-ii") else 1)
-        dense = [[int(r == c) + entries.get((r, c), 0) for c in range(4)] for r in range(4)]
-        assert gen.matrix == IntMatrix(dense), family
+    # the four generators e_1, f_1 (unit shears between handles 1 and 2),
+    # upper-ii and lower-ii at handle 2, as I plus their entries {(row, col): x}
+    want = [
+        {(0, 2): 1, (3, 1): -1},  # a2 -> a2 + a1, b1 -> b1 - b2
+        {(2, 0): 1, (1, 3): -1},  # a1 -> a1 + a2, b2 -> b2 - b1
+        {(2, 3): 1},  # b2 -> b2 + a2
+        {(3, 2): 1},  # a2 -> a2 + b2
+    ]
+    assert list(sp_generators(2)) == [
+        IntMatrix([[int(r == c) + entries.get((r, c), 0) for c in range(4)] for r in range(4)]) for entries in want
+    ]
     # the cubic monomial a1 b1 a2 is the triple (0, 1, 2), the first basis wedge
     assert q_map(BoolPoly(2, [(0, 1, 2)])) == (1, 0, 0, 0)
 
@@ -121,19 +120,18 @@ class TestGenerators:
     def test_genus_one_two_shears(self):
         gens = sp_generators(1)
         assert len(gens) == 2
-        assert {g.family for g in gens} == {"upper-ii", "lower-ii"}
+        assert set(gens) == {IntMatrix([[1, 1], [0, 1]]), IntMatrix([[1, 0], [1, 1]])}
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_every_generator_preserves_form(self, g):
         space = SymplecticSpace(g)
         j = space.form_matrix()
         for gen in sp_generators(g):
-            assert gen.matrix.transpose() @ j @ gen.matrix == j
+            assert gen.transpose() @ j @ gen == j
 
     def test_counts_recorded(self):
-        # 2g + 2*C(g,2) + g(g-1), fixed at implementation time
-        assert len(sp_generators(2)) == 8
-        assert len(sp_generators(3)) == 18
+        # e_i, f_i for i < g and the two at the last handle
+        assert [len(sp_generators(g)) for g in (1, 2, 3, 12)] == [2, 4, 6, 24]
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_built_once_per_genus(self, g):
@@ -144,7 +142,7 @@ class TestGenerators:
         assert generator_actions(g) is pairs
         assert [gen for gen, _ in pairs] == list(gens)
         for gen, moved in pairs:
-            assert moved == _minus_identity(lambda3_action(gen.matrix))
+            assert moved == _minus_identity(lambda3_action(gen))
 
     @pytest.mark.parametrize("g", [3, 4])
     def test_actions_are_transposed_once_per_genus(self, g, monkeypatch):
@@ -178,7 +176,7 @@ class TestGenerators:
         assert calls == []
         assert generator_actions(g) is pairs
         monkeypatch.undo()
-        assert built == [gen.matrix.transpose() for gen in sp_generators(g)]
+        assert built == [gen.transpose() for gen in sp_generators(g)]
         # the store holds no full action: per generator, only the nonzero
         # columns of A - I, fewer than the cube has
         for _, moved in pairs:
@@ -186,9 +184,110 @@ class TestGenerators:
             assert len(moved) < comb(2 * g, 3)
 
     def test_bad_matrix_rejected(self):
-        space = SymplecticSpace(1)
-        with pytest.raises(ValueError):
-            SpGenerator(space, "upper-ii", 0, 0, IntMatrix([[1, 1], [1, 1]]))
+        with pytest.raises(CertificateError, match=r"generator 0 is not I \+ N"):
+            certify_generators(1, (IntMatrix([[1, 1], [1, 1]]),))
+
+
+def _gen(n, entries):
+    """I + sum x E(r, c) of size n, for entries {(r, c): x}."""
+    rows = [{r: 1} for r in range(n)]
+    for (r, c), x in entries.items():
+        rows[r][c] = x
+    return IntMatrix._of(rows, n)
+
+
+def _five_families(g):
+    """The five lambda=1 families over their valid index pairs, 2g^2
+    generators: the generating set the 2g Chevalley generators replaced,
+    kept as the oracle for them.  upper-ii I + E(a_i, b_i), lower-ii
+    I + E(b_i, a_i), lower-sym I + E(b_i, a_j) + E(b_j, a_i) and upper-sym
+    I + E(a_i, b_j) + E(a_j, b_i) for i < j, unit-shear I + E(a_i, a_j) -
+    E(b_j, b_i) for i != j."""
+    n = 2 * g
+    pairs = [(i, j) for i in range(g) for j in range(i + 1, g)]
+    return (
+        *(_gen(n, {(2 * i, 2 * i + 1): 1}) for i in range(g)),
+        *(_gen(n, {(2 * i + 1, 2 * i): 1}) for i in range(g)),
+        *(_gen(n, {(2 * i + 1, 2 * j): 1, (2 * j + 1, 2 * i): 1}) for i, j in pairs),
+        *(_gen(n, {(2 * i, 2 * j + 1): 1, (2 * j, 2 * i + 1): 1}) for i, j in pairs),
+        *(
+            _gen(n, {(2 * i, 2 * j): 1, (2 * j + 1, 2 * i + 1): -1})
+            for i in range(g)
+            for j in range(g)
+            if i != j
+        ),
+    )
+
+
+def _nilpotent(m):
+    """N = m - I, as an IntMatrix."""
+    return IntMatrix([[x - (r == c) for c, x in enumerate(row)] for r, row in enumerate(m.entries)], cols=m.cols)
+
+
+def _flat(m):
+    """A square IntMatrix flattened row by row, as a sparse row."""
+    return {k: x for k, x in enumerate(v for row in m.entries for v in row) if x}
+
+
+def _generated_algebra(gens):
+    """Flattened rows spanning the Lie algebra that the generators' N
+    generate, by dense matrix products: each element that raises the rank
+    is kept, and its brackets [N, x] with every N are queued.  The
+    reference for the certificate's span."""
+    ns = [_nilpotent(gen) for gen in gens]
+    rows, todo = [], list(ns)
+    while todo:
+        x = todo.pop()
+        if intlinalg.sparse_rank(rows + [_flat(x)]) > len(rows):
+            rows.append(_flat(x))
+            for a in ns:
+                ax, xa = (a @ x).entries, (x @ a).entries
+                todo.append(IntMatrix([[p - q for p, q in zip(r, t)] for r, t in zip(ax, xa)], cols=x.cols))
+    return rows
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("g", range(1, 21))
+    def test_holds(self, g):
+        certify_generators(g, sp_generators(g))
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_old_families_pass_it_too(self, g):
+        certify_generators(g, _five_families(g))
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_a_wrong_sign_fails(self, g):
+        # e_1 with +E(b_2, b_1): N^2 = 0 still, but N leaves sp(2g)
+        gens = list(sp_generators(g))
+        gens[0] = _gen(2 * g, {(0, 2): 1, (3, 1): 1})
+        with pytest.raises(CertificateError, match=r"generator 0 is not I \+ N"):
+            certify_generators(g, gens)
+
+    def test_a_zero_matrix_fails(self):
+        with pytest.raises(CertificateError, match=r"generator 0 is not I \+ N with N\^2 = 0"):
+            certify_generators(3, (_zeros(6, 6),))
+
+    @pytest.mark.parametrize("g", [2, 3, 4, 5])
+    def test_every_single_drop_shrinks_the_span(self, g):
+        gens = sp_generators(g)
+        spans = []
+        for k in range(len(gens)):
+            with pytest.raises(CertificateError, match="span") as err:
+                certify_generators(g, gens[:k] + gens[k + 1 :])
+            got, want = map(int, re.search(r"span (\d+) of the (\d+)", str(err.value)).groups())
+            assert want == g * (2 * g + 1) and got < want
+            spans.append(got)
+        if g == 3:
+            assert set(spans) == {13, 14, 15}
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+    def test_span_matches_dense_brackets(self, g):
+        # the certified algebra, by the reference, is all of sp(2g), and it
+        # holds the N of every generator of the five families
+        rows = _generated_algebra(sp_generators(g))
+        assert len(rows) == g * (2 * g + 1)
+        for gen in _five_families(g):
+            assert intlinalg.sparse_rank(rows + [_flat(_nilpotent(gen))]) == len(rows), gen
 
 
 class TestLambda3:
@@ -207,16 +306,16 @@ class TestLambda3:
         gens = sp_generators(3)
         for gen in rng.sample(gens, 5):
             # unimodular, so the Hermite transform IS the exact inverse
-            h, u = intlinalg.hermite_with_transform(gen.matrix)
+            h, u = intlinalg.hermite_with_transform(gen)
             assert h == _eye(6)
-            assert gen.matrix @ u == _eye(6)
-            assert lambda3_action(gen.matrix) @ lambda3_action(u) == _eye(20)
+            assert gen @ u == _eye(6)
+            assert lambda3_action(gen) @ lambda3_action(u) == _eye(20)
 
     def test_action_is_homomorphism_on_words(self):
         rng = random.Random(5)
         gens = sp_generators(2)
         for _ in range(10):
-            word = [rng.choice(gens).matrix for _ in range(rng.randint(2, 4))]
+            word = [rng.choice(gens) for _ in range(rng.randint(2, 4))]
             prod = word[0]
             for m in word[1:]:
                 prod = prod @ m
@@ -290,7 +389,7 @@ class TestLambda3MatchesMinors:
     @pytest.mark.parametrize("g", [1, 2, 3, 4])
     def test_generators(self, g):
         for gen in sp_generators(g):
-            assert lambda3_action(gen) == _minors_action(gen.matrix)
+            assert lambda3_action(gen) == _minors_action(gen)
 
     def test_singular_and_small(self):
         assert lambda3_action(_zeros(5, 5)) == _zeros(10, 10)
@@ -335,7 +434,7 @@ class TestContraction:
         space = SymplecticSpace(g)
         c = contraction_matrix(space)
         for gen in sp_generators(g):
-            assert c @ lambda3_action(gen) == gen.matrix @ c
+            assert c @ lambda3_action(gen) == gen @ c
 
     def test_equivariance_random_vectors(self):
         space = SymplecticSpace(3)
@@ -346,7 +445,7 @@ class TestContraction:
             gen = rng.choice(gens)
             v = [rng.randint(-5, 5) for _ in range(20)]
             lhs = contraction((lambda3_action(gen) @ IntMatrix([v]).transpose()).transpose().row(0), space)
-            rhs = (gen.matrix @ IntMatrix([contraction(v, space)]).transpose()).transpose().row(0)
+            rhs = (gen @ IntMatrix([contraction(v, space)]).transpose()).transpose().row(0)
             assert lhs == tuple(rhs)
 
 
@@ -524,7 +623,7 @@ class TestRoundtrip:
 
 @lru_cache(maxsize=None)
 def _minors_actions(g):
-    return tuple(_minors_action(gen.matrix) for gen in sp_generators(g))
+    return tuple(_minors_action(gen) for gen in sp_generators(g))
 
 
 def _dense_roundtrip(v, g):
@@ -654,3 +753,57 @@ class TestWrongLengthRefused:
         genus_two = SymplecticSpace(2)
         with pytest.raises(DimensionMismatch):
             contraction(_dense(genus_two, theta_wedge(genus_two, [1, 0, 0, 0])), SymplecticSpace(3))
+
+
+@contextmanager
+def _five_families_route():
+    """Inside the block, every cube consumer reads the five families of
+    `_five_families` (2g^2 generators) in place of `sp_generators`."""
+    real = symplectic.sp_generators
+    symplectic.sp_generators = _five_families
+    generator_actions.cache_clear()
+    try:
+        yield
+    finally:
+        symplectic.sp_generators = real
+        generator_actions.cache_clear()
+
+
+def _cube_verdicts(g, lattices):
+    """The commutant dimension (g >= 3), the equivariance verdict and the
+    roundtrip reports on the lattices, on whatever generators the store reads."""
+    count, intertwined = contraction_equivariance(g)
+    commutant = commutant_dimension(g) if g >= 3 else None
+    return commutant, count == intertwined, [summand_correspondence_roundtrip(v, g) for v in lattices]
+
+
+class TestFiveFamiliesOracle:
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_verdicts_agree(self, g):
+        ji = johnson_image(g)
+        lattices = [
+            ji,
+            intlinalg.kernel(contraction_matrix(SymplecticSpace(g))),
+            IntMatrix._of([{c: 2 * x for c, x in row.items()} for row in ji.sparse_rows], ji.cols),
+        ]
+        new = _cube_verdicts(g, lattices)
+        with _five_families_route():
+            assert len(generator_actions(g)) == 2 * g * g
+            old = _cube_verdicts(g, lattices)
+        assert new == old
+        assert new == (2 if g >= 3 else None, True, [(True, True), (True, True), (True, False)])
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from([2, 3]),
+        st.sampled_from(["random", "rank-deficient", "johnson", "johnson-plus-tail", "contraction-kernel"]),
+        st.sampled_from([1, 2, 3]),
+        st.randoms(use_true_random=False),
+    )
+    def test_roundtrip_on_drawn_sublattices(self, g, kind, scale, rng):
+        # a scale of 2 or 3 makes a nonzero lattice a non-summand
+        v = _submodule(g, kind, rng)
+        v = IntMatrix._of([{c: scale * x for c, x in row.items()} for row in v.sparse_rows], v.cols)
+        new = summand_correspondence_roundtrip(v, g)
+        with _five_families_route():
+            assert summand_correspondence_roundtrip(v, g) == new
